@@ -10,9 +10,10 @@ object ``{"correct", "attempted", "failed", "metrics"}``::
 
 ``--trace 0`` reports the end-to-end metrics of an untraced run.
 ``--trace 1`` runs the workload twice for half the time each, untraced and
-then with every layer boundary wrapped (see ``tracing.py``); it reports the
-per-layer counts and self times of the traced half, the tracing overhead,
-and writes a Chrome trace plus a per-layer table to ``e2ebench/out/``.
+then, set-up included, with every layer boundary wrapped (see
+``tracing.py``); it reports the per-layer counts and self times of the
+traced half, the tracing overhead, and writes a Chrome trace plus a
+per-layer table to ``e2ebench/out/``.
 
 The exit code is 0 when every output check passed and 1 when one failed
 (the JSON line is still printed); 2 when the library cannot be imported.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import glob
 import hashlib
 import json
@@ -41,7 +43,7 @@ SRC = ROOT / "src"
 OUT = HERE / "out"
 
 #: Set-ups per run; ``setup_s`` is their median.
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 IMPORT_PROBE = (
     "import time; started = time.perf_counter(); import repro.api, repro.service; "
     "print(time.perf_counter() - started)"
@@ -263,7 +265,7 @@ def per_layer_metrics(tracer, outcome, harness: dict) -> dict:
     return metrics
 
 
-def measure(workload, seconds: float, *, setups: int):
+def measure(workload, *, setups: int):
     """Set up ``setups`` times (median into ``setup_s``), then run and check."""
     samples = []
     for _ in range(setups):
@@ -271,28 +273,40 @@ def measure(workload, seconds: float, *, setups: int):
         started = time.perf_counter()
         workload.setup()
         samples.append(imported + time.perf_counter() - started)
-    outcome = workload.run(seconds)
+    outcome = workload.run()
     workload.check(outcome)
     return outcome, samples
 
 
 def run(args) -> tuple[dict, object, list[Path]]:
     """The metrics, the measured outcome and the trace files of one run."""
-    from tracing import Tracer
     from workloads import WORKLOADS
 
-    workload = WORKLOADS[args.workload](args.seed)
-    if not args.trace:
-        outcome, setups = measure(workload, args.seconds, setups=SETUP_REPEATS)
-        return end_to_end_metrics(outcome, setups), outcome, []
+    # A traced run is an untraced and a traced half of half the time each.
+    workload = WORKLOADS[args.workload](args.seed, args.seconds / (2 if args.trace else 1))
+    # The generated inputs and the imported modules are the benchmark's:
+    # keep the collector from re-scanning them in the program's collections.
+    gc.collect()
+    gc.freeze()
+    try:
+        if not args.trace:
+            outcome, setups = measure(workload, setups=SETUP_REPEATS)
+            return end_to_end_metrics(outcome, setups), outcome, []
+        return traced_run(args, workload)
+    finally:
+        gc.unfreeze()
 
-    # Untraced then traced, half the time each: the difference between the
-    # two is the tracing overhead.
-    untraced, setups = measure(workload, args.seconds / 2, setups=1)
-    workload.setup()
+
+def traced_run(args, workload) -> tuple[dict, object, list[Path]]:
+    """Per-layer metrics of the traced half; the untraced half is its baseline."""
+    from tracing import Tracer
+
+    untraced, setups = measure(workload, setups=1)
     run_id = f"{args.workload}-seed{args.seed}-{os.getpid()}"
     with Tracer(run_id) as tracer:
-        traced = workload.run(args.seconds / 2)
+        # Set-up is traced as well, so compression.spec.* sees its parses.
+        workload.setup()
+        traced = workload.run()
     workload.check(traced)
     baseline = end_to_end_metrics(untraced, setups)["latency_p50_ms"]
     harness = {

@@ -2,7 +2,8 @@
 
 Checks that every workload runs and passes its output checks, that every
 named metric is printed with its unit, that a failed check makes the exit
-code non-zero, and that the tracer restores every function it wrapped.
+code non-zero, that the tracer counts the values of every collective and
+restores every function it wrapped.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 HERE = Path(__file__).resolve().parent
@@ -98,9 +100,23 @@ def test_tracer_restores_every_binding():
         original = before[("repro.compression.kernels", "fwht_rows")]
         assert thc.fwht_rows is kernels.fwht_rows is not original
         assert thc.fwht_rows.__wrapped__ is original
-        workloads.ValidateBridge(0, num_steps=1).setup()
+        workloads.ValidateBridge(0, 0.1, num_steps=1).setup()
     assert tracer.spans
     after = _bindings()
     changed = [key for key in before if after.get(key) is not before[key]]
     assert not changed
     assert not [key for key, value in after.items() if getattr(value, "tracer", None) is tracer]
+
+
+def test_sectioned_gather_values_are_counted():
+    from repro.collectives.api import CollectiveBackend
+
+    backend = CollectiveBackend()
+    sections = [
+        (np.arange(3, dtype=np.int32), np.ones(3, dtype=np.float16))
+        for _ in range(backend.world_size)
+    ]
+    with Tracer("selftest") as tracer:
+        backend.allgather_sections(sections, wire_bits_per_section=(32.0, 16.0))
+    assert tracer.layer_table()["collectives"]["calls"] == 1
+    assert tracer.counters["collectives.values"] == 6 * backend.world_size

@@ -56,19 +56,23 @@ class Span:
         return self.duration_s - self.child_s
 
 
-def _array_values(args, kwargs) -> int:
-    """Elements in the ndarray arguments (one list level deep)."""
+def _array_values(values) -> int:
+    """Elements in the ndarrays among ``values``, inside lists and tuples too.
+
+    Nested containers matter: ``allgather_sections`` takes one tuple of
+    section arrays per worker.
+    """
     total = 0
-    for value in itertools.chain(args, kwargs.values()):
+    for value in values:
         if isinstance(value, np.ndarray):
             total += value.size
         elif isinstance(value, (list, tuple)):
-            total += sum(item.size for item in value if isinstance(item, np.ndarray))
+            total += _array_values(value)
     return total
 
 
 def _count_values(tracer: "Tracer", args, kwargs, result) -> None:
-    tracer.add("collectives.values", _array_values(args[1:], kwargs))
+    tracer.add("collectives.values", _array_values(itertools.chain(args[1:], kwargs.values())))
 
 
 def _count_recovery(tracer: "Tracer", args, kwargs, result) -> None:
@@ -270,7 +274,7 @@ class Tracer:
             row["self_s"] += span.self_s
         return dict(table)
 
-    def export(self, directory: Path, stem: str, *, max_events: int = 200_000) -> list[Path]:
+    def export(self, directory: Path, stem: str) -> list[Path]:
         """Write ``<stem>.trace.json`` (Chrome trace events) and ``<stem>.layers.txt``."""
         directory.mkdir(parents=True, exist_ok=True)
         origin = min((span.start for span in self.spans), default=0.0)
@@ -287,13 +291,12 @@ class Tracer:
                 "tid": threads[span.thread],
                 "args": {"id": span.span_id, "parent": span.parent, "run": self.run_id},
             }
-            for span in self.spans[:max_events]
+            for span in self.spans
         ]
         trace_path = directory / f"{stem}.trace.json"
         trace_path.write_text(
             json.dumps({"traceEvents": events, "displayTimeUnit": "ms",
-                        "otherData": {"run": self.run_id, "spans": len(self.spans),
-                                      "exported": len(events)}})
+                        "otherData": {"run": self.run_id, "spans": len(events)}})
         )
         table = self.layer_table()
         lines = [f"{'layer span':28s} {'calls':>9s} {'total_s':>10s} {'self_s':>10s}"]

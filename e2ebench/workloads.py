@@ -1,12 +1,13 @@
 """The benchmark's workloads, driven through the public API only.
 
-Each workload is generated from the benchmark's ``--seed``: the program
-receives only the generated inputs (scenarios, request traces, gradient
-traces).  A workload object has three phases:
+Each workload is generated from the benchmark's ``--seed`` and the length
+of its measured phase: the constructor makes every input (scenarios,
+request traces, gradient traces) and the program receives only those.  A
+workload object then has three phases:
 
 * ``setup()`` -- construct the session or service and warm it up (the
   benchmark repeats it and reports the median as ``setup_s``);
-* ``run(seconds)`` -- the measured phase, returning an :class:`Outcome`;
+* ``run()`` -- the measured phase, returning an :class:`Outcome`;
 * ``check(outcome)`` -- the output checks, run after the measured phase,
   which add failure messages to the outcome.
 
@@ -18,7 +19,6 @@ a fixed arrival rate.
 from __future__ import annotations
 
 import asyncio
-import gc
 import itertools
 import json
 import math
@@ -115,8 +115,9 @@ class TTAPaper:
 
     name = "tta-paper"
 
-    def __init__(self, seed: int, *, rounds: int = TTA_ROUNDS):
+    def __init__(self, seed: int, seconds: float, *, rounds: int = TTA_ROUNDS):
         self.seed = seed
+        self.seconds = seconds
         self.rounds = rounds
         self.scenario = tta_scenario(seed)
         cluster = multirack_cluster(2)
@@ -150,8 +151,8 @@ class TTAPaper:
                 results[(half, spec)] = result
         return results
 
-    def run(self, seconds: float) -> Outcome:
-        outcome = _closed_loop(self.one_pass, seconds)
+    def run(self) -> Outcome:
+        outcome = _closed_loop(self.one_pass, self.seconds)
         outcome.extra["specs"] = [self.session.scheme(spec).spec() for spec in CONTENDERS]
         outcome.extra["clusters"] = [paper_testbed(), self.halves[1][2]["cluster"]]
         outcome.extra["scenario"] = self.scenario.spec()
@@ -332,9 +333,10 @@ class AdvisorOpen:
 
     name = "advisor-open"
 
-    def __init__(self, seed: int, *, rate_qps: float = ADVISOR_RATE_QPS):
+    def __init__(self, seed: int, seconds: float, *, rate_qps: float = ADVISOR_RATE_QPS):
         self.seed = seed
         self.rate_qps = rate_qps
+        self.trace = advisor_trace(seed, max(1, int(rate_qps * seconds)))
         self.service: AdvisorService | None = None
         self.loop: asyncio.AbstractEventLoop | None = None
 
@@ -382,20 +384,10 @@ class AdvisorOpen:
         outcome.extra["harness.gen_lag_ms_max"] = lag * 1e3
         outcome.results = responses
 
-    def run(self, seconds: float) -> Outcome:
-        trace = advisor_trace(self.seed, max(1, int(self.rate_qps * seconds)))
-        outcome = Outcome(attempted=len(trace))
-        # Keep the collector from re-scanning the pre-built trace (and the
-        # set-up) in every full collection of the replay: those pauses would
-        # be the harness's cost, not the service's.
-        gc.collect()
-        gc.freeze()
-        try:
-            self.loop.run_until_complete(self._replay(trace, outcome))
-        finally:
-            gc.unfreeze()
+    def run(self) -> Outcome:
+        outcome = Outcome(attempted=len(self.trace))
+        self.loop.run_until_complete(self._replay(self.trace, outcome))
         outcome.work = sum(latency <= ADVISOR_LIMIT_S for latency in outcome.op_latency_s)
-        outcome.extra["trace"] = trace
         outcome.extra["snapshot"] = self.service.snapshot()
         outcome.extra["specs"] = list(REGISTRY_SPECS)
         outcome.extra["clusters"] = advisor_fabrics()
@@ -403,7 +395,7 @@ class AdvisorOpen:
         return outcome
 
     def check(self, outcome: Outcome) -> None:
-        trace = outcome.extra.pop("trace")
+        trace = self.trace
         snapshot = outcome.extra["snapshot"]
         if snapshot["rejected"]:
             outcome.fail(f"{snapshot['rejected']} requests rejected")
@@ -446,8 +438,9 @@ class ValidateBridge:
 
     name = "validate-bridge"
 
-    def __init__(self, seed: int, *, num_steps: int = VALIDATE_STEPS):
+    def __init__(self, seed: int, seconds: float, *, num_steps: int = VALIDATE_STEPS):
         self.seed = seed
+        self.seconds = seconds
         self.cluster = paper_testbed()
         self.trace = synthetic_trace(
             num_steps=num_steps, num_workers=self.cluster.world_size, seed=seed
@@ -465,8 +458,8 @@ class ValidateBridge:
         outcome.work += len(report.rows)
         return report
 
-    def run(self, seconds: float) -> Outcome:
-        outcome = _closed_loop(self.one_pass, seconds)
+    def run(self) -> Outcome:
+        outcome = _closed_loop(self.one_pass, self.seconds)
         outcome.op_latency_s = list(outcome.pass_s)  # one operation is one pass
         outcome.extra["specs"] = [row.spec for row in outcome.results[0].rows]
         outcome.extra["clusters"] = [self.cluster]
