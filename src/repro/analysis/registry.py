@@ -4,8 +4,9 @@ Every rule is a small module under :mod:`repro.analysis.rules` that
 registers itself with the :func:`rule` decorator, mirroring the scheme
 registry in :mod:`repro.compression.spec`: a decorator, a module-level
 table, and an unknown-name error with close-match suggestions
-(:class:`UnknownRuleError` matches the ``UnknownSchemeError`` UX exactly,
-down to the ``did you mean`` phrasing).
+(:class:`UnknownRuleError` shares the grammar core's
+:class:`~repro.grammar.UnknownNameError` with ``UnknownSchemeError``, down
+to the ``did you mean`` phrasing).
 
 A rule class needs:
 
@@ -17,9 +18,10 @@ A rule class needs:
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
+
+from repro.grammar import UnknownNameError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     import ast
@@ -28,28 +30,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.analysis.findings import Finding
 
 
-class UnknownRuleError(KeyError):
-    """An unknown rule code, with close-match suggestions.
+class UnknownRuleError(UnknownNameError):
+    """An unknown rule code (a :class:`KeyError`), with close-match suggestions."""
 
-    Subclasses :class:`KeyError` so ``except KeyError`` handlers keep
-    working -- the same contract as
-    :class:`repro.compression.spec.UnknownSchemeError`.
-    """
+    noun = "reprolint rule"
 
-    def __init__(self, name: str, known: Iterable[str]):
-        self.name = name
-        self.known = sorted(known)
-        self.suggestions = difflib.get_close_matches(
-            name.upper(), self.known, n=3, cutoff=0.5
-        )
-        message = f"unknown reprolint rule {name!r}"
-        if self.suggestions:
-            message += f"; did you mean: {', '.join(self.suggestions)}?"
-        message += f" (known: {', '.join(self.known)})"
-        super().__init__(message)
-
-    def __str__(self) -> str:  # KeyError would repr() the message
-        return self.args[0]
+    @staticmethod
+    def _match_key(name: str) -> str:
+        return name.upper()
 
 
 @dataclass

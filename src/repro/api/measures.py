@@ -2,8 +2,7 @@
 
 These are the low-level, functional building blocks -- build a simulation
 context, price a round, average a scheme's vNMSE -- that the session composes
-into its high-level methods.  ``repro.experiments.common`` re-exports them for
-backwards compatibility with the original driver-oriented layout.
+into its high-level methods.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.simulator.kernel_cost import KernelCostModel
 from repro.simulator.pipeline import (
     PipelineResult,
     bucketed_schedule,
-    legacy_overlap_schedule,
     serialized_schedule,
     simulate_schedule,
 )
@@ -131,7 +129,6 @@ def estimate_throughput(
     training_precision: Precision = Precision.TF32,
     ctx: SimContext | None = None,
     num_buckets: int = 1,
-    overlap_fraction: float | None = None,
     scenario: "Scenario | str | None" = None,
     num_rounds: int | None = None,
     policy: "RecoveryPolicy | str | None" = None,
@@ -143,9 +140,7 @@ def estimate_throughput(
     * ``num_buckets=1`` (default) serializes compute, compression, and
       communication -- the historical fully exposed round;
     * ``num_buckets>1`` splits the gradient into buckets whose collectives
-      interleave with the backward pass and with later buckets' compression;
-    * ``overlap_fraction`` (deprecated) prices the round through the legacy
-      two-stage scalar shim instead; it cannot be combined with bucketing.
+      interleave with the backward pass and with later buckets' compression.
 
     Heterogeneous clusters (worker straggler slowdowns, mixed NIC tiers) are
     priced exactly: the schedule runs on the cluster's worker profiles.
@@ -169,8 +164,6 @@ def estimate_throughput(
     """
     if num_buckets < 1:
         raise ValueError("num_buckets must be >= 1")
-    if overlap_fraction is not None and num_buckets > 1:
-        raise ValueError("overlap_fraction is a legacy shim; use num_buckets without it")
     if num_rounds is not None and scenario is None:
         raise ValueError("num_rounds only applies to scenario runs; pass scenario=")
     if num_rounds is not None and num_rounds < 1:
@@ -191,44 +184,34 @@ def estimate_throughput(
         price_ctx: SimContext,
         deadline_seconds: float | None = None,
     ):
-        if overlap_fraction is not None:
-            round_cost = scheme.estimate_costs(workload.paper_num_coordinates, price_ctx)
-            schedule = legacy_overlap_schedule(
+        bucket_costs = scheme.estimate_bucket_costs(
+            workload.paper_num_coordinates, num_buckets, price_ctx
+        )
+        round_cost = CostEstimate(
+            compression_seconds=sum(b.compression_seconds for b in bucket_costs),
+            communication_seconds=sum(b.communication_seconds for b in bucket_costs),
+            bits_per_coordinate=bucket_costs[0].bits_per_coordinate,
+        )
+        if len(bucket_costs) == 1:
+            schedule = serialized_schedule(
                 compute_seconds,
                 round_cost.compression_seconds,
                 round_cost.communication_seconds,
-                overlap_fraction=overlap_fraction,
             )
         else:
-            bucket_costs = scheme.estimate_bucket_costs(
-                workload.paper_num_coordinates, num_buckets, price_ctx
+            schedule = bucketed_schedule(
+                compute_seconds,
+                [
+                    (b.compression_seconds, b.communication_seconds)
+                    for b in bucket_costs
+                ],
             )
-            round_cost = CostEstimate(
-                compression_seconds=sum(b.compression_seconds for b in bucket_costs),
-                communication_seconds=sum(b.communication_seconds for b in bucket_costs),
-                bits_per_coordinate=bucket_costs[0].bits_per_coordinate,
-            )
-            if len(bucket_costs) == 1:
-                schedule = serialized_schedule(
-                    compute_seconds,
-                    round_cost.compression_seconds,
-                    round_cost.communication_seconds,
-                )
-            else:
-                schedule = bucketed_schedule(
-                    compute_seconds,
-                    [
-                        (b.compression_seconds, b.communication_seconds)
-                        for b in bucket_costs
-                    ],
-                )
         return round_cost, len(schedule), simulate_schedule(
             schedule, cluster_spec, deadline_seconds=deadline_seconds
         )
 
     cost, scheduled_buckets, result = price(base_cluster, ctx)
     round_seconds = result.makespan_seconds
-    reported_buckets = scheduled_buckets if overlap_fraction is None else 1
 
     if scenario is None:
         scenario_obj = None
@@ -297,7 +280,7 @@ def estimate_throughput(
         rounds_per_second=rounds_per_second,
         round_seconds=round_seconds,
         cost=cost,
-        num_buckets=reported_buckets,
+        num_buckets=scheduled_buckets,
         pipeline=result,
         scenario=scenario_obj.spec() if scenario_obj is not None else None,
         scenario_metrics=metrics,

@@ -218,7 +218,6 @@ class ExperimentSession:
         cluster: ClusterSpec | None = None,
         error_feedback: bool = False,
         num_buckets: int = 1,
-        overlap_fraction: float | None = None,
         scenario: Scenario | str | None = None,
         num_rounds: int | None = None,
         policy: "RecoveryPolicy | str | None" = None,
@@ -226,8 +225,8 @@ class ExperimentSession:
         """Price one training round of a scheme on a workload at paper scale.
 
         ``num_buckets > 1`` prices the round through the bucketed pipeline
-        simulator (per-bucket collectives interleaved with backward compute);
-        ``overlap_fraction`` is the deprecated scalar shim.  ``scenario``
+        simulator (per-bucket collectives interleaved with backward compute).
+        ``scenario``
         (a :class:`~repro.simulator.scenario.Scenario` or spec string such as
         ``"flap(rack=1)@20..25 + churn(p=0.05)"``) prices a ``num_rounds``
         run under dynamic events and attaches per-scenario tail metrics.
@@ -243,7 +242,6 @@ class ExperimentSession:
             training_precision=training_precision,
             ctx=self.context(cluster=cluster),
             num_buckets=num_buckets,
-            overlap_fraction=overlap_fraction,
             scenario=scenario,
             num_rounds=num_rounds,
             policy=policy,

@@ -24,7 +24,6 @@ EXPERIMENTS.md document records the measured values next to the paper's.
 
 from repro.experiments import (  # noqa: F401
     adaptive,
-    common,
     faults,
     figure1,
     figure2,
@@ -44,7 +43,6 @@ from repro.experiments import (  # noqa: F401
 
 __all__ = [
     "adaptive",
-    "common",
     "faults",
     "fleet",
     "scenario_fleet",

@@ -26,8 +26,6 @@ from repro.simulator.pipeline import (
     BucketTrace,
     PipelineResult,
     bucketed_schedule,
-    legacy_overlap_makespan,
-    legacy_overlap_schedule,
     serialized_schedule,
     simulate_schedule,
     split_coordinates,
@@ -115,8 +113,6 @@ __all__ = [
     "fat_tree_cluster",
     "join",
     "leave",
-    "legacy_overlap_makespan",
-    "legacy_overlap_schedule",
     "link_flap",
     "multirack_cluster",
     "nic_degrade",

@@ -27,8 +27,9 @@ for the rounds in its window:
 * :func:`join` / :func:`leave` -- elastic membership at node granularity.
 
 Scenarios are expressed programmatically (``Scenario.of(slowdown(3, 2.5,
-at_round=10, until=40))``) or as composable spec strings mirroring the
-scheme-spec language::
+at_round=10, until=40))``) or as spec strings of the grammar core
+(:mod:`repro.grammar`), whose scenario extensions join events with ``+``
+and give each a round window ``@A..B``::
 
     scenario("flap(rack=1)@20..25 + churn(p=0.05)")
 
@@ -43,46 +44,30 @@ p50/p95/p99 round time, excess time attributable to events, recovery).
 
 from __future__ import annotations
 
-import difflib
-import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
+
+from repro import grammar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulator.cluster import ClusterSpec
 
 
-class UnknownEventError(KeyError):
+class UnknownEventError(grammar.UnknownNameError):
     """An unknown scenario event name, with close-match suggestions."""
 
-    def __init__(self, name: str, known: list[str]):
-        self.name = name
-        self.known = sorted(known)
-        self.suggestions = difflib.get_close_matches(name, self.known, n=3, cutoff=0.5)
-        message = f"unknown scenario event {name!r}"
-        if self.suggestions:
-            message += f"; did you mean: {', '.join(self.suggestions)}?"
-        message += f" (known: {', '.join(self.known)})"
-        super().__init__(message)
-
-    def __str__(self) -> str:  # KeyError.__str__ shows the repr of args[0]
-        return self.args[0]
+    noun = "scenario event"
 
 
-class ScenarioSyntaxError(ValueError):
+class ScenarioSyntaxError(grammar.GrammarSyntaxError):
     """A scenario spec string that does not conform to the grammar."""
 
-    def __init__(self, text: str, position: int, reason: str):
-        self.text = text
-        self.position = position
-        self.reason = reason
-        pointer = " " * position + "^"
-        super().__init__(f"invalid scenario spec: {reason}\n  {text}\n  {pointer}")
+    subject = "scenario spec"
 
 
-class ScenarioParamError(ValueError):
+class ScenarioParamError(grammar.GrammarParamError):
     """A well-formed scenario spec whose arguments do not fit the event."""
 
 
@@ -109,8 +94,10 @@ class ScenarioEvent:
     start_round: int = field(default=0, kw_only=True)
     until_round: int | None = field(default=None, kw_only=True)
 
-    #: Spec-language family name (set per subclass).
-    kind = "abstract"
+    @property
+    def kind(self) -> str:
+        """Spec-language family name."""
+        return self._spec_family.name
 
     def __post_init__(self) -> None:
         if self.start_round < 0:
@@ -135,16 +122,12 @@ class ScenarioEvent:
 
     def spec(self) -> str:
         """Canonical spec-string form of this event, window suffix included."""
-        args = ", ".join(self._spec_args())
-        text = f"{self.kind}({args})" if args else self.kind
+        text = self._spec_family.render(self)
         if self.until_round is not None:
             return f"{text}@{self.start_round}..{self.until_round}"
         if self.start_round > 0:
             return f"{text}@{self.start_round}"
         return text
-
-    def _spec_args(self) -> list[str]:
-        raise NotImplementedError
 
     def _window_bound(self) -> int:
         """Last round (exclusive) this event can perturb; open windows count 1."""
@@ -247,7 +230,6 @@ class SlowdownEvent(ScenarioEvent):
 
     worker: int
     factor: float
-    kind = "slowdown"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -259,9 +241,6 @@ class SlowdownEvent(ScenarioEvent):
     def apply(self, cluster, round_index, rng):
         return _scale_profiles(cluster, [self.worker], slowdown=self.factor)
 
-    def _spec_args(self) -> list[str]:
-        return [f"w={self.worker}", f"x={self.factor:g}"]
-
 
 @dataclass(frozen=True)
 class NicDegradeEvent(ScenarioEvent):
@@ -269,7 +248,6 @@ class NicDegradeEvent(ScenarioEvent):
 
     worker: int
     factor: float
-    kind = "nic_degrade"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -281,9 +259,6 @@ class NicDegradeEvent(ScenarioEvent):
     def apply(self, cluster, round_index, rng):
         return _scale_profiles(cluster, [self.worker], nic=self.factor)
 
-    def _spec_args(self) -> list[str]:
-        return [f"w={self.worker}", f"x={self.factor:g}"]
-
 
 @dataclass(frozen=True)
 class LinkFlapEvent(ScenarioEvent):
@@ -291,7 +266,6 @@ class LinkFlapEvent(ScenarioEvent):
 
     rack: int
     factor: float = 8.0
-    kind = "flap"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -312,9 +286,6 @@ class LinkFlapEvent(ScenarioEvent):
         start = self.rack * members_per_rack
         return _scale_rank_range(cluster, start, start + members_per_rack, nic=self.factor)
 
-    def _spec_args(self) -> list[str]:
-        return [f"rack={self.rack}", f"x={self.factor:g}"]
-
 
 @dataclass(frozen=True)
 class DomainFailEvent(ScenarioEvent):
@@ -328,7 +299,6 @@ class DomainFailEvent(ScenarioEvent):
 
     domain: int
     factor: float = 8.0
-    kind = "domain_fail"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -350,9 +320,6 @@ class DomainFailEvent(ScenarioEvent):
         start = self.domain * workers_per_domain
         return _scale_rank_range(cluster, start, start + workers_per_domain, nic=self.factor)
 
-    def _spec_args(self) -> list[str]:
-        return [f"d={self.domain}", f"x={self.factor:g}"]
-
 
 @dataclass(frozen=True)
 class SwitchMemoryPressureEvent(ScenarioEvent):
@@ -364,7 +331,6 @@ class SwitchMemoryPressureEvent(ScenarioEvent):
     """
 
     factor: float = 0.25
-    kind = "switch_mem"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -382,9 +348,6 @@ class SwitchMemoryPressureEvent(ScenarioEvent):
             ),
         )
         return replace(cluster, fabric=replace(cluster.fabric, switch=squeezed))
-
-    def _spec_args(self) -> list[str]:
-        return [f"x={self.factor:g}"]
 
 
 @dataclass(frozen=True)
@@ -404,7 +367,6 @@ class ChurnEvent(ScenarioEvent):
 
     p: float
     factor: float = 4.0
-    kind = "churn"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -447,9 +409,6 @@ class ChurnEvent(ScenarioEvent):
             profile_overrides=None,
             worker_profiles=None,
         )
-
-    def _spec_args(self) -> list[str]:
-        return [f"p={self.p:g}", f"x={self.factor:g}"]
 
 
 def _resize_nodes(cluster: "ClusterSpec", new_num_nodes: int) -> "ClusterSpec":
@@ -511,7 +470,6 @@ class JoinEvent(ScenarioEvent):
     """``nodes`` extra nominal nodes join for the duration of the window."""
 
     nodes: int = 1
-    kind = "join"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -521,16 +479,12 @@ class JoinEvent(ScenarioEvent):
     def apply(self, cluster, round_index, rng):
         return _resize_nodes(cluster, cluster.num_nodes + self.nodes)
 
-    def _spec_args(self) -> list[str]:
-        return [f"n={self.nodes}"]
-
 
 @dataclass(frozen=True)
 class LeaveEvent(ScenarioEvent):
     """The last ``nodes`` nodes leave for the duration of the window."""
 
     nodes: int = 1
-    kind = "leave"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -539,9 +493,6 @@ class LeaveEvent(ScenarioEvent):
 
     def apply(self, cluster, round_index, rng):
         return _resize_nodes(cluster, cluster.num_nodes - self.nodes)
-
-    def _spec_args(self) -> list[str]:
-        return [f"n={self.nodes}"]
 
 
 # --------------------------------------------------------------------------- #
@@ -676,241 +627,78 @@ STATIC_SPEC = "static"
 # The spec-string language
 # --------------------------------------------------------------------------- #
 
-_REQUIRED = object()
+_WORKER = grammar.Param("w", int, "worker", aliases=("worker",), required=True)
+_FACTOR = grammar.Param("x", float, "factor", aliases=("factor",))
 
-
-@dataclass(frozen=True)
-class _EventParam:
-    """One spec-language parameter of an event family."""
-
-    names: tuple[str, ...]  # first name is canonical
-    kind: type
-    attr: str
-    default: object = _REQUIRED
-
-    def coerce(self, value: object, family: str) -> object:
-        if self.kind is int:
-            if isinstance(value, int) and not isinstance(value, bool):
-                return value
-        elif self.kind is float:
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                return float(value)
-        raise ScenarioParamError(
-            f"{family}: parameter {self.names[0]!r} expects {self.kind.__name__}, "
-            f"got {value!r}"
-        )
-
-
-@dataclass(frozen=True)
-class _EventFamily:
-    """A scenario event family: class, aliases, and typed parameters."""
-
-    name: str
-    cls: type
-    params: tuple[_EventParam, ...]
-    aliases: tuple[str, ...] = ()
-
-    def param_named(self, key: str) -> _EventParam:
-        for param in self.params:
-            if key in param.names:
-                return param
-        valid = ", ".join(p.names[0] for p in self.params) or "(none)"
-        raise ScenarioParamError(
-            f"{self.name}: unknown parameter {key!r}; valid parameters: {valid}"
-        )
-
-    def build(
-        self,
-        args: Sequence[tuple[str | None, object]],
-        start_round: int,
-        until_round: int | None,
-    ) -> ScenarioEvent:
-        bound: dict[_EventParam, object] = {}
-        positional_cursor = 0
-        for key, value in args:
-            if key is None:
-                if positional_cursor >= len(self.params):
-                    raise ScenarioParamError(
-                        f"{self.name}: too many positional arguments "
-                        f"(takes {len(self.params)})"
-                    )
-                param = self.params[positional_cursor]
-                positional_cursor += 1
-            else:
-                param = self.param_named(key)
-            if param in bound:
-                raise ScenarioParamError(
-                    f"{self.name}: parameter {param.names[0]!r} given twice"
-                )
-            bound[param] = param.coerce(value, self.name)
-        kwargs = {param.attr: value for param, value in bound.items()}
-        for param in self.params:
-            if param.default is _REQUIRED and param.attr not in kwargs:
-                raise ScenarioParamError(
-                    f"{self.name}: missing required parameter {param.names[0]!r}"
-                )
-        try:
-            return self.cls(**kwargs, start_round=start_round, until_round=until_round)
-        except ValueError as error:
-            raise ScenarioParamError(f"{self.name}: {error}") from None
-
-
-_EVENT_FAMILIES: dict[str, _EventFamily] = {}
-_EVENT_NAMES: dict[str, _EventFamily] = {}  # aliases included
-
-
-def _register_event(family: _EventFamily) -> None:
-    _EVENT_FAMILIES[family.name] = family
-    for alias in (family.name, *family.aliases):
-        _EVENT_NAMES[alias] = family
-
-
-_register_event(
-    _EventFamily(
-        "slowdown",
-        SlowdownEvent,
-        (
-            _EventParam(("w", "worker"), int, "worker"),
-            _EventParam(("x", "factor"), float, "factor"),
-        ),
-    )
+#: The scenario language: event families joined by ``+``, each term with an
+#: optional round window.
+EVENTS = grammar.Language(
+    ScenarioSyntaxError,
+    ScenarioParamError,
+    UnknownEventError,
+    term_label="an event name",
+    numbers_only=True,
 )
-_register_event(
-    _EventFamily(
-        "nic_degrade",
-        NicDegradeEvent,
-        (
-            _EventParam(("w", "worker"), int, "worker"),
-            _EventParam(("x", "factor"), float, "factor"),
-        ),
-        aliases=("nic",),
-    )
+EVENTS.define("slowdown", SlowdownEvent, _WORKER, replace(_FACTOR, required=True))
+EVENTS.define(
+    "nic_degrade", NicDegradeEvent, _WORKER, replace(_FACTOR, required=True), aliases=("nic",)
 )
-_register_event(
-    _EventFamily(
-        "flap",
-        LinkFlapEvent,
-        (
-            _EventParam(("rack",), int, "rack"),
-            _EventParam(("x", "factor"), float, "factor", default=8.0),
-        ),
-        aliases=("link_flap",),
-    )
+EVENTS.define(
+    "flap",
+    LinkFlapEvent,
+    grammar.Param("rack", int, required=True),
+    _FACTOR,
+    aliases=("link_flap",),
 )
-_register_event(
-    _EventFamily(
-        "domain_fail",
-        DomainFailEvent,
-        (
-            _EventParam(("d", "domain"), int, "domain"),
-            _EventParam(("x", "factor"), float, "factor", default=8.0),
-        ),
-        aliases=("domain",),
-    )
+EVENTS.define(
+    "domain_fail",
+    DomainFailEvent,
+    grammar.Param("d", int, "domain", aliases=("domain",), required=True),
+    _FACTOR,
+    aliases=("domain",),
 )
-_register_event(
-    _EventFamily(
-        "switch_mem",
-        SwitchMemoryPressureEvent,
-        (_EventParam(("x", "factor"), float, "factor", default=0.25),),
-        aliases=("switch_memory_pressure",),
-    )
+EVENTS.define(
+    "switch_mem",
+    SwitchMemoryPressureEvent,
+    _FACTOR,
+    aliases=("switch_memory_pressure",),
 )
-_register_event(
-    _EventFamily(
-        "churn",
-        ChurnEvent,
-        (
-            _EventParam(("p",), float, "p"),
-            _EventParam(("x", "factor"), float, "factor", default=4.0),
-        ),
-    )
-)
-_register_event(
-    _EventFamily("join", JoinEvent, (_EventParam(("n", "nodes"), int, "nodes", default=1),))
-)
-_register_event(
-    _EventFamily("leave", LeaveEvent, (_EventParam(("n", "nodes"), int, "nodes", default=1),))
-)
+EVENTS.define("churn", ChurnEvent, grammar.Param("p", float, required=True), _FACTOR)
+EVENTS.define("join", JoinEvent, grammar.Param("n", int, "nodes", aliases=("nodes",)))
+EVENTS.define("leave", LeaveEvent, grammar.Param("n", int, "nodes", aliases=("nodes",)))
 
 
 def available_events() -> list[str]:
     """Canonical scenario event names, sorted."""
-    return sorted(_EVENT_FAMILIES)
+    return EVENTS.names()
 
 
-_TERM_RE = re.compile(
-    r"""
-    (?P<name>[a-z_][a-z0-9_]*)
-    \s*
-    (?:\( (?P<args>[^()]*) \))?
-    \s*
-    (?:@ \s* (?P<start>\d+) \s* (?:\.\.\s*(?P<until>\d+))? )?
-    """,
-    re.VERBOSE,
-)
-
-_NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?$")
-
-
-def _parse_literal(text: str, spec: str, position: int) -> object:
-    token = text.strip()
-    if _NUMBER_RE.match(token):
-        try:
-            return int(token)
-        except ValueError:
-            return float(token)
-    raise ScenarioSyntaxError(spec, position, f"expected a number, got {token!r}")
-
-
-def _parse_term(spec: str, position: int) -> tuple[ScenarioEvent, int]:
-    match = _TERM_RE.match(spec, position)
-    if match is None or not match.group("name"):
-        raise ScenarioSyntaxError(spec, position, "expected an event name")
-    name = match.group("name")
-    family = _EVENT_NAMES.get(name)
-    if family is None:
-        raise UnknownEventError(name, sorted(_EVENT_NAMES))
-    args: list[tuple[str | None, object]] = []
-    raw_args = match.group("args")
-    if raw_args is not None and raw_args.strip():
-        args_offset = match.start("args")
-        for fragment in raw_args.split(","):
-            fragment_offset = args_offset + raw_args.index(fragment)
-            if "=" in fragment:
-                key, _, raw_value = fragment.partition("=")
-                key = key.strip()
-                if not key.isidentifier():
-                    raise ScenarioSyntaxError(
-                        spec, fragment_offset, f"bad parameter name {key!r}"
-                    )
-                args.append((key, _parse_literal(raw_value, spec, fragment_offset)))
-            else:
-                args.append((None, _parse_literal(fragment, spec, fragment_offset)))
-    start = int(match.group("start")) if match.group("start") else 0
-    until = int(match.group("until")) if match.group("until") else None
-    if match.group("start") and not match.group("until"):
-        until = None  # "@20" means "from round 20, forever"
-    if until is not None and until <= start:
-        raise ScenarioSyntaxError(
-            spec,
-            match.start("start"),
-            f"empty round window @{start}..{until}: windows are half-open "
-            f"[A, B), so B must be greater than A "
-            f"(did you mean @{start}..{start + 1} for the single round {start}?)",
-        )
-    event = family.build(tuple(args), start, until)
-    return event, match.end()
+def _parse_event(parser: grammar.Parser) -> ScenarioEvent:
+    family, term = parser.family_term()
+    start, until = 0, None
+    if parser.accept("@"):
+        start_index = parser.index
+        start = parser.natural("a round index")
+        if parser.accept(".."):
+            until = parser.natural("a round index")
+            if until <= start:
+                parser.fail(
+                    f"empty round window @{start}..{until}: windows are half-open "
+                    f"[A, B), so B must be greater than A "
+                    f"(did you mean @{start}..{start + 1} for the single round {start}?)",
+                    start_index,
+                )
+    return family.build(term.args, start_round=start, until_round=until)
 
 
 def parse_scenario(text: str, *, seed: int = 0, name: str = "") -> Scenario:
     """Parse a scenario spec string into a :class:`Scenario`.
 
-    Grammar (whitespace-insensitive)::
+    Terms follow the grammar core (:mod:`repro.grammar`, numbers only),
+    extended with ``+`` and round windows::
 
-        scenario := "static" | term ("+" term)*
-        term     := EVENT [ "(" [ arg ("," arg)* ] ")" ] [ "@" START [".." UNTIL] ]
-        arg      := NAME "=" NUMBER | NUMBER
+        scenario := "static" | event ("+" event)*
+        event    := term [ "@" START [".." UNTIL] ]
 
     ``@A..B`` is the half-open round window ``[A, B)``; ``@A`` alone means
     "from round A until the end of the run"; no ``@`` means "always".
@@ -922,25 +710,9 @@ def parse_scenario(text: str, *, seed: int = 0, name: str = "") -> Scenario:
     """
     if not isinstance(text, str) or not text.strip():
         raise ScenarioSyntaxError(str(text), 0, "empty scenario spec")
-    stripped = text.strip()
-    if stripped == STATIC_SPEC:
+    if text.strip() == STATIC_SPEC:
         return Scenario(seed=seed, name=name)
-    events: list[ScenarioEvent] = []
-    position = 0
-    while True:
-        while position < len(text) and text[position].isspace():
-            position += 1
-        event, position = _parse_term(text, position)
-        events.append(event)
-        while position < len(text) and text[position].isspace():
-            position += 1
-        if position >= len(text):
-            break
-        if text[position] != "+":
-            raise ScenarioSyntaxError(
-                text, position, f"expected '+' between events, got {text[position]!r}"
-            )
-        position += 1
+    events = grammar.Parser(text, EVENTS).joined(_parse_event, "events")
     return Scenario(events=tuple(events), seed=seed, name=name)
 
 
@@ -1179,6 +951,3 @@ def run_scenario(
         distinct_clusters=len(cache),
     )
 
-
-def _event_field_names() -> set[str]:  # pragma: no cover - debugging aid
-    return {f.name for cls in _EVENT_FAMILIES.values() for f in fields(cls.cls)}

@@ -49,25 +49,12 @@ class TimelineEntry:
 class RoundTimeline:
     """Accumulates the simulated time of one training round.
 
-    Phases that can overlap in a real system (e.g. communication of one bucket
-    with compression of the next) are modelled by the ``overlap_fraction``:
-    that fraction of the communication time is hidden behind compute.
-
-    .. deprecated::
-        ``overlap_fraction`` is a legacy scalar shim.  :meth:`total_time`
-        evaluates it through the bucketed pipeline simulator
-        (:func:`repro.simulator.pipeline.legacy_overlap_makespan`) as a
-        two-stage schedule; build a real per-bucket schedule with
-        :mod:`repro.simulator.pipeline` to model pipelining, stragglers, or
-        heterogeneous clusters.
+    Phases add up serially; to model pipelining, stragglers, or
+    heterogeneous clusters build a per-bucket schedule with
+    :mod:`repro.simulator.pipeline` instead.
     """
 
-    overlap_fraction: float = 0.0
     entries: list[TimelineEntry] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.overlap_fraction <= 1.0:
-            raise ValueError("overlap_fraction must be in [0, 1]")
 
     def add(self, phase: str, label: str, seconds: float) -> None:
         """Record ``seconds`` of simulated time under ``phase``/``label``."""
@@ -87,23 +74,8 @@ class RoundTimeline:
         return {phase: self.phase_time(phase) for phase in ALL_PHASES}
 
     def total_time(self) -> float:
-        """Total round time, accounting for compute/communication overlap.
-
-        Evaluated through the pipeline simulator's two-stage legacy shim,
-        which reproduces the historical closed form
-        ``other + communication - min(overlap_fraction * communication,
-        compute)`` exactly.
-        """
-        from repro.simulator.pipeline import legacy_overlap_makespan
-
-        return legacy_overlap_makespan(
-            self.phase_time(PHASE_COMPUTE),
-            self.phase_time(PHASE_COMPRESSION),
-            self.phase_time(PHASE_COMMUNICATION),
-            self.phase_time(PHASE_DECOMPRESSION),
-            self.phase_time(PHASE_OPTIMIZER),
-            overlap_fraction=self.overlap_fraction,
-        )
+        """Total round time: the plain sum of every phase."""
+        return sum(self.phase_time(phase) for phase in ALL_PHASES)
 
     def compression_fraction(self) -> float:
         """Fraction of round time spent in compression + decompression kernels.
@@ -124,16 +96,8 @@ class RoundTimeline:
         return 1.0 / total
 
     def merged_with(self, other: "RoundTimeline") -> "RoundTimeline":
-        """Return a new timeline containing the entries of both.
-
-        The merged timeline keeps the *larger* of the two overlap fractions:
-        merging must never silently discard the other timeline's overlap
-        configuration, and the optimistic bound is the documented choice for
-        combining partially-overlapped rounds.
-        """
-        merged = RoundTimeline(
-            overlap_fraction=max(self.overlap_fraction, other.overlap_fraction)
-        )
+        """Return a new timeline containing the entries of both."""
+        merged = RoundTimeline()
         merged.extend(self.entries)
         merged.extend(other.entries)
         return merged

@@ -31,7 +31,6 @@ from repro.simulator.gpu import Precision
 from repro.simulator.kernel_cost import KernelCostModel
 from repro.simulator.pipeline import (
     bucketed_schedule,
-    legacy_overlap_schedule,
     serialized_schedule,
     simulate_schedule,
 )
@@ -185,14 +184,6 @@ class DDPTrainer:
         kernel_backend: Compression hot-path implementation: ``"batched"``
             (default, fused vectorized kernels over the stacked worker
             matrix) or ``"legacy"`` (per-worker float64 reference loops).
-        overlap_fraction: Deprecated scalar shim -- fraction of communication
-            hidden behind compute (0 = fully exposed).  Evaluated through the
-            pipeline simulator's two-stage legacy schedule, which matches
-            :meth:`RoundTimeline.total_time`'s historical closed form: at
-            most the compute time can be hidden, so communication-bound
-            rounds no longer hide time that had nothing to hide behind (the
-            trainer's old unclamped ``comm * (1 - f)`` overstated overlap
-            there).  Cannot be combined with ``num_buckets > 1``.
         scenario: Optional dynamic-events scenario
             (:class:`~repro.simulator.scenario.Scenario` or a spec string).
             Each round is then priced on the scenario's effective cluster for
@@ -239,7 +230,6 @@ class DDPTrainer:
         eval_every: int = 10,
         seed: int = 0,
         num_buckets: int = 1,
-        overlap_fraction: float | None = None,
         kernel_backend: KernelBackend | str = KernelBackend.BATCHED,
         scenario: Scenario | str | None = None,
         policy: RecoveryPolicy | str | None = None,
@@ -253,12 +243,6 @@ class DDPTrainer:
             raise ValueError("eval_every must be positive")
         if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
-        if overlap_fraction is not None and not 0.0 <= overlap_fraction <= 1.0:
-            raise ValueError("overlap_fraction must be in [0, 1]")
-        if overlap_fraction is not None and num_buckets > 1:
-            raise ValueError(
-                "overlap_fraction is a legacy shim; use num_buckets without it"
-            )
         self.model = model
         self.dataset = dataset
         self.scheme = scheme
@@ -269,7 +253,6 @@ class DDPTrainer:
         self.eval_every = eval_every
         self.seed = seed
         self.num_buckets = num_buckets
-        self.overlap_fraction = overlap_fraction
         self.scenario = as_scenario(scenario) if scenario is not None else None
         self.policy = as_policy(policy)
         if not self.policy.is_empty and self.scenario is None:
@@ -347,37 +330,28 @@ class DDPTrainer:
     ):
         """Price one paper-scale round on ``cluster`` (schedule + simulate)."""
         pricing = pricing if pricing is not None else self._pricing
-        if self.overlap_fraction is not None:
-            costs = pricing.estimate_costs(self.workload.paper_num_coordinates, ctx)
-            schedule = legacy_overlap_schedule(
+        bucket_costs = pricing.estimate_bucket_costs(
+            self.workload.paper_num_coordinates, self.num_buckets, ctx
+        )
+        costs = CostEstimate(
+            compression_seconds=sum(b.compression_seconds for b in bucket_costs),
+            communication_seconds=sum(b.communication_seconds for b in bucket_costs),
+            bits_per_coordinate=bucket_costs[0].bits_per_coordinate,
+        )
+        if len(bucket_costs) == 1:
+            schedule = serialized_schedule(
                 self._compute_seconds,
                 costs.compression_seconds,
                 costs.communication_seconds,
-                overlap_fraction=self.overlap_fraction,
             )
         else:
-            bucket_costs = pricing.estimate_bucket_costs(
-                self.workload.paper_num_coordinates, self.num_buckets, ctx
+            schedule = bucketed_schedule(
+                self._compute_seconds,
+                [
+                    (b.compression_seconds, b.communication_seconds)
+                    for b in bucket_costs
+                ],
             )
-            costs = CostEstimate(
-                compression_seconds=sum(b.compression_seconds for b in bucket_costs),
-                communication_seconds=sum(b.communication_seconds for b in bucket_costs),
-                bits_per_coordinate=bucket_costs[0].bits_per_coordinate,
-            )
-            if len(bucket_costs) == 1:
-                schedule = serialized_schedule(
-                    self._compute_seconds,
-                    costs.compression_seconds,
-                    costs.communication_seconds,
-                )
-            else:
-                schedule = bucketed_schedule(
-                    self._compute_seconds,
-                    [
-                        (b.compression_seconds, b.communication_seconds)
-                        for b in bucket_costs
-                    ],
-                )
         return costs, simulate_schedule(
             schedule, cluster, deadline_seconds=deadline_seconds
         )

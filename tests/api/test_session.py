@@ -108,16 +108,6 @@ class TestPipelinedThroughput:
         assert len(estimate.pipeline.traces) == 4
         assert estimate.pipeline.makespan_seconds == pytest.approx(estimate.round_seconds)
 
-    def test_overlap_shim_matches_legacy_formula(self, session):
-        workload = bert_large_wikitext()
-        fraction = 0.6
-        shim = session.throughput("topkc(b=2)", workload, overlap_fraction=fraction)
-        cost = shim.cost
-        compute = workload.compute_seconds_for(Precision.TF32)
-        hidden = min(cost.communication_seconds * fraction, compute)
-        legacy = compute + cost.compression_seconds + cost.communication_seconds - hidden
-        assert shim.round_seconds == pytest.approx(legacy, rel=1e-12)
-
     def test_straggler_cluster_strictly_slower(self, session):
         workload = bert_large_wikitext()
         base = session.throughput("topkc(b=2)", workload, num_buckets=8)
@@ -137,12 +127,6 @@ class TestPipelinedThroughput:
         assert pipelined.cost.compression_seconds == pytest.approx(
             serialized.cost.compression_seconds, rel=0.05
         )
-
-    def test_shim_and_buckets_mutually_exclusive(self, session):
-        with pytest.raises(ValueError):
-            session.throughput(
-                "topkc(b=2)", bert_large_wikitext(), num_buckets=4, overlap_fraction=0.5
-            )
 
     def test_tta_accepts_num_buckets(self, session):
         workload = vgg19_tinyimagenet()

@@ -7,7 +7,7 @@ from repro.collectives.api import Collective, CollectiveBackend
 from repro.collectives.ops import MeanOp, SumOp
 from repro.collectives.allgather import allgather, allgather_concat
 from repro.collectives.parameter_server import ParameterServer
-from repro.collectives.reduce_scatter import ring_reduce_scatter
+from repro.collectives.ring import ring_reduce_scatter
 from repro.simulator.cluster import paper_testbed
 
 
@@ -110,7 +110,7 @@ class TestFunctionalHelpers:
         with pytest.raises(ValueError):
             ParameterServer(num_shards=0)
 
-    def test_reduce_scatter_reexport(self):
+    def test_ring_reduce_scatter_sums_blocks(self):
         blocks = ring_reduce_scatter([np.ones(8), np.ones(8)], SumOp())
         np.testing.assert_allclose(np.concatenate(blocks), 2 * np.ones(8))
 

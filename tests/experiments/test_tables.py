@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import table1, table2, table4, table5, table6, table7, table8, table9
-from repro.experiments.common import (
+from repro.api.measures import (
     bert_like_gradients,
     estimate_throughput,
     mean_vnmse,

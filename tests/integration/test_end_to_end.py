@@ -11,7 +11,7 @@ import pytest
 from repro.compression import available_schemes, make_scheme
 from repro.core import compute_utility, vnmse
 from repro.core.evaluation import run_end_to_end
-from repro.experiments.common import bert_like_gradients, paper_context
+from repro.api.measures import bert_like_gradients, paper_context
 from repro.training.workloads import vgg19_tinyimagenet
 
 

@@ -170,7 +170,7 @@ class TestAggregationProperties:
     @given(st.integers(0, 2**31 - 1), st.sampled_from([0.5, 2.0, 8.0]))
     @settings(max_examples=20, deadline=None)
     def test_topkc_error_less_than_sending_nothing(self, seed, bits):
-        from repro.experiments.common import paper_context
+        from repro.api.measures import paper_context
 
         rng = np.random.default_rng(seed)
         d = 1 << 12

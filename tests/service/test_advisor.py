@@ -219,6 +219,23 @@ class TestCacheIntegration:
 
         run(scenario())
 
+    def test_scenarios_differing_past_six_digits_do_not_share_an_entry(self):
+        """The cache key spells scenario floats exactly, not to ``%g`` digits."""
+
+        def request(text: str) -> AdviseRequest:
+            return AdviseRequest(specs=(THC,), workload="bert_large", scenario=text)
+
+        async def scenario():
+            async with make_service() as service:
+                await service.advise(request("slowdown(w=0, x=3.0000004)"))
+                second = await service.advise(request("slowdown(w=0, x=3.0000001)"))
+            async with make_service() as fresh:
+                expected = await fresh.advise(request("slowdown(w=0, x=3.0000001)"))
+            assert second.best.provenance == "computed"
+            assert second.best.value == expected.best.value
+
+        run(scenario())
+
 
 class TestBackpressureAndDeadlines:
     def test_queue_full_rejects_429_style(self):

@@ -46,23 +46,6 @@ class TestRoundTimeline:
         timeline.add(PHASE_COMMUNICATION, "allreduce", 0.05)
         assert timeline.phase_time(PHASE_COMPUTE) == pytest.approx(0.3)
 
-    def test_overlap_hides_communication(self):
-        timeline = RoundTimeline(overlap_fraction=1.0)
-        timeline.add(PHASE_COMPUTE, "fwd", 0.2)
-        timeline.add(PHASE_COMMUNICATION, "allreduce", 0.1)
-        assert timeline.total_time() == pytest.approx(0.2)
-
-    def test_overlap_cannot_hide_more_than_compute(self):
-        timeline = RoundTimeline(overlap_fraction=1.0)
-        timeline.add(PHASE_COMPUTE, "fwd", 0.05)
-        timeline.add(PHASE_COMMUNICATION, "allreduce", 0.2)
-        # Only 0.05 s can be hidden behind compute.
-        assert timeline.total_time() == pytest.approx(0.2)
-
-    def test_overlap_fraction_validated(self):
-        with pytest.raises(ValueError):
-            RoundTimeline(overlap_fraction=1.5)
-
     def test_compression_fraction(self):
         timeline = RoundTimeline()
         timeline.add(PHASE_COMPUTE, "fwd", 0.08)
@@ -90,29 +73,6 @@ class TestRoundTimeline:
         merged = first.merged_with(second)
         assert merged.total_time() == pytest.approx(0.3)
         assert len(merged.entries) == 2
-
-    def test_merge_keeps_the_larger_overlap_fraction(self):
-        # The other timeline's overlap configuration must not be silently
-        # discarded: the merge takes the documented max, in both directions.
-        low = RoundTimeline(overlap_fraction=0.2)
-        high = RoundTimeline(overlap_fraction=0.5)
-        assert low.merged_with(high).overlap_fraction == pytest.approx(0.5)
-        assert high.merged_with(low).overlap_fraction == pytest.approx(0.5)
-
-    def test_merge_of_equal_overlaps_preserves_them(self):
-        a = RoundTimeline(overlap_fraction=0.4)
-        b = RoundTimeline(overlap_fraction=0.4)
-        assert a.merged_with(b).overlap_fraction == pytest.approx(0.4)
-
-    def test_total_time_matches_pipeline_shim_at_edges(self):
-        for fraction in (0.0, 1.0):
-            timeline = RoundTimeline(overlap_fraction=fraction)
-            timeline.add(PHASE_COMPUTE, "fwd", 0.16)
-            timeline.add(PHASE_COMPRESSION, "topk", 0.02)
-            timeline.add(PHASE_COMMUNICATION, "allreduce", 0.14)
-            other, communication = 0.18, 0.14
-            hidden = min(communication * fraction, 0.16)
-            assert timeline.total_time() == pytest.approx(other + communication - hidden)
 
     def test_all_phases_constant_is_complete(self):
         assert set(ALL_PHASES) == {
