@@ -199,7 +199,7 @@ async def run_load_test(
     open_rate: float,
 ) -> dict:
     """The three phases against one service instance; returns the bench dict."""
-    async with AdvisorService(batch_window=0.002, max_queue=8192) as service:
+    async with AdvisorService(max_queue=8192) as service:
         # Phase 1 -- cold: distinct queries, cache population, micro-batching.
         cold_trace = cold_requests(cold_count) + scenario_requests(scenario_count)
         cold = await closed_loop(service, cold_trace, concurrency=concurrency)
@@ -232,6 +232,7 @@ async def run_load_test(
         "concurrency": concurrency,
         "cold_requests": cold["requests"],
         "cold_qps": cold["qps"],
+        "cold_p50_seconds": cold["p50_seconds"],
         "cold_p99_seconds": cold["p99_seconds"],
         "warm_requests": warm["requests"],
         "warm_qps": warm["qps"],
@@ -297,7 +298,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     args.out.write_text(json.dumps(results, indent=2) + "\n")
     print(
-        "[service] cold {cold_qps:.0f} qps (p99 {cold_p99_seconds:.4f}s)  "
+        "[service] cold {cold_qps:.0f} qps (p50 {cold_p50_seconds:.4f}s, "
+        "p99 {cold_p99_seconds:.4f}s)  "
         "warm {warm_qps:.0f} qps (p99 {warm_p99_seconds:.4f}s)  "
         "open-loop p99 {open_loop_p99_seconds:.4f}s @ {open_loop_offered_qps:.0f} qps".format(
             **bench

@@ -68,13 +68,18 @@ def _butterfly_passes(vector: np.ndarray, depth: int) -> np.ndarray:
     """
     data = vector.reshape(-1)
     size = data.size
+    root2 = math.sqrt(2.0)
     stride = 1
     for _ in range(depth):
         shaped = data.reshape(size // (2 * stride), 2, stride)
-        upper = shaped[:, 0, :].copy()
-        lower = shaped[:, 1, :].copy()
-        shaped[:, 0, :] = (upper + lower) / math.sqrt(2.0)
-        shaped[:, 1, :] = (upper - lower) / math.sqrt(2.0)
+        upper = shaped[:, 0, :]
+        lower = shaped[:, 1, :]
+        # One temporary per pass; the difference and both divisions run in
+        # place, the same IEEE operations as (a + b) / r2 and (a - b) / r2.
+        total = upper + lower
+        np.subtract(upper, lower, out=lower)
+        np.divide(total, root2, out=upper)
+        lower /= root2
         data = shaped.reshape(size)
         stride *= 2
     return data

@@ -488,19 +488,24 @@ class THCCompressor(AggregationScheme):
             mean = rotation.inverse(rotated_mean, d).astype(np.float32)
 
         # Per-worker transmitted contribution (for error feedback): each
-        # worker's own dequantized, un-rotated payload.
-        transmitted = []
-        for levels in level_vectors:
-            own_rotated = levels.astype(np.float64) * scales
-            if rotation is None:
-                transmitted.append(own_rotated[:d].astype(np.float32))
-            else:
-                transmitted.append(rotation.inverse(own_rotated, d).astype(np.float32))
+        # worker's own dequantized, un-rotated payload, deferred like the
+        # batched path's -- plain rounds never pay the n inverse rotations.
+        # The level vectors and scales are fresh per call, so the closure
+        # needs no snapshot.
+        def materialize_transmitted() -> np.ndarray:
+            transmitted = []
+            for levels in level_vectors:
+                own_rotated = levels.astype(np.float64) * scales
+                if rotation is None:
+                    transmitted.append(own_rotated[:d].astype(np.float32))
+                else:
+                    transmitted.append(rotation.inverse(own_rotated, d).astype(np.float32))
+            return np.stack(transmitted)
 
         return AggregationResult(
             mean_estimate=mean,
             bits_per_coordinate=float(self.wire_bits),
-            per_worker_transmitted=transmitted,
+            per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
             communication_seconds=communication_seconds,
             compression_seconds=compression_seconds + dequantize_seconds,
         )

@@ -10,10 +10,12 @@ scenario?* -- designed to answer it at volume:
   on the event loop, no queueing: thousands of queries per second.
 * **Single-flight dedup** -- identical evaluations in flight are computed
   once; concurrent duplicates await the same future.
-* **Micro-batching** -- distinct cold queries landing within the batch
-  window are grouped by their axes and dispatched as *one* grid sweep per
-  group, so 100 concurrent requests over one cluster cost one sweep, not
-  100 sessions.
+* **Work-conserving micro-batching** -- dispatch is gated by evaluation
+  slots, not by a timer: as soon as a slot is free, everything already
+  queued leaves as one batch, grouped by its axes into *one* grid sweep per
+  group.  An idle service prices a cold query at once; under load, the
+  requests that arrive while every slot is busy leave together, so 100
+  concurrent requests over one cluster cost one sweep, not 100 sessions.
 * **Backpressure** -- a bounded queue rejects at admission (429-style) once
   full, and per-request deadlines keep one fleet-scale query from starving
   everyone else.
@@ -85,12 +87,11 @@ class AdvisorService:
             sqlite); ``None`` for memory-only.
         max_queue: Bounded request-queue depth; admission beyond it raises
             :class:`ServiceOverloadedError`.
-        batch_window: Seconds the batcher waits to accumulate a micro-batch
-            after the first cold request arrives (0 batches only what is
-            already queued).
         max_batch: Micro-batch size bound.
-        eval_workers: Threads in the evaluation pool (each runs one grouped
-            sweep at a time).
+        eval_workers: Evaluation slots, and threads in the evaluation pool.
+            A dispatched batch holds one slot until all of its sweeps finish,
+            so at most ``eval_workers`` batches are in flight; each sweep
+            runs serially inside its slot.
         default_deadline: Fallback per-request deadline in seconds
             (``None`` = unbounded).
         log_interval: Seconds between periodic telemetry log lines on the
@@ -112,7 +113,6 @@ class AdvisorService:
         cache_entries: int = 4096,
         spill_path=None,
         max_queue: int = 1024,
-        batch_window: float = 0.002,
         max_batch: int = 64,
         eval_workers: int = 2,
         default_deadline: float | None = None,
@@ -130,8 +130,8 @@ class AdvisorService:
         )
         self.metrics = ServiceMetrics()
         self.max_queue = max_queue
-        self.batch_window = batch_window
         self.max_batch = max_batch
+        self.eval_workers = eval_workers
         self.default_deadline = default_deadline
         self.log_interval = log_interval
         self.serve_stale_on_overload = serve_stale_on_overload
@@ -139,6 +139,7 @@ class AdvisorService:
             max_workers=eval_workers, thread_name_prefix="advisor-eval"
         )
         self._queue: asyncio.Queue[_Pending] | None = None
+        self._slots: asyncio.Semaphore | None = None
         self._inflight: dict[str, asyncio.Future] = {}
         self._tasks: set[asyncio.Task] = set()
         self._batcher: asyncio.Task | None = None
@@ -156,6 +157,7 @@ class AdvisorService:
         if self._stopped:
             raise ServiceStoppedError("a stopped AdvisorService cannot be restarted")
         self._queue = asyncio.Queue(maxsize=self.max_queue)
+        self._slots = asyncio.Semaphore(self.eval_workers)
         self._batcher = asyncio.create_task(self._batch_loop(), name="advisor-batcher")
         if self.log_interval is not None:
             self._log_task = asyncio.create_task(self._log_loop(), name="advisor-telemetry")
@@ -351,93 +353,101 @@ class AdvisorService:
     # Batching & evaluation
     # ------------------------------------------------------------------ #
     async def _batch_loop(self) -> None:
-        assert self._queue is not None
-        loop = asyncio.get_running_loop()
-        while True:
-            item = await self._queue.get()
-            batch = [item]
-            try:
-                if self.batch_window > 0:
-                    horizon = loop.time() + self.batch_window
-                    while len(batch) < self.max_batch:
-                        remaining = horizon - loop.time()
-                        if remaining <= 0:
-                            break
-                        try:
-                            batch.append(
-                                await asyncio.wait_for(self._queue.get(), remaining)
-                            )
-                        except asyncio.TimeoutError:
-                            break
-                while len(batch) < self.max_batch:
-                    try:
-                        batch.append(self._queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-            except asyncio.CancelledError:
-                # Cancelled mid-window (abrupt stop): fail the requests this
-                # batch already holds so their callers never hang.
-                for held in batch:
-                    if not held.future.done():
-                        held.future.set_exception(
-                            ServiceStoppedError("service stopped before evaluation")
-                        )
-                    self._queue.task_done()
-                raise
-            self.metrics.record_batch(len(batch))
-            try:
-                self._dispatch(batch)
-            finally:
-                for _ in batch:
-                    self._queue.task_done()
+        """Dispatch a batch whenever an evaluation slot and a request exist.
 
-    def _dispatch(self, batch: list[_Pending]) -> None:
-        """Plan one micro-batch: dedupe, group by axes, launch sweeps."""
+        Work-conserving: no timer holds a request back.  The loop takes a
+        free slot, waits for the first queued request, and sends it off with
+        everything queued behind it (up to ``max_batch``).  Requests that
+        arrive while every slot is busy stay in the queue and leave together
+        as the next batch, so batches grow with load.
+        """
+        assert self._queue is not None and self._slots is not None
+        while True:
+            await self._slots.acquire()
+            batch = [await self._queue.get()]
+            while len(batch) < self.max_batch:
+                try:
+                    batch.append(self._queue.get_nowait())
+                except asyncio.QueueEmpty:
+                    break
+            self.metrics.record_batch(len(batch))
+            sweeps = self._dispatch(batch)
+            for _ in batch:
+                self._queue.task_done()
+            if sweeps:
+                # The batch holds its slot until every one of its sweeps ends.
+                asyncio.gather(*sweeps, return_exceptions=True).add_done_callback(
+                    lambda _: self._slots.release()
+                )
+            else:
+                self._slots.release()
+
+    def _dispatch(self, batch: list[_Pending]) -> list[asyncio.Task]:
+        """Plan one micro-batch: dedupe, group by axes, launch sweeps.
+
+        Returns the launched sweep tasks.  If planning raises (a cache tier
+        can fail a lookup), the batch's requests fail with that error, the
+        in-flight entries it created are dropped, and no sweep is launched.
+        """
         groups: dict[str, _SweepGroup] = {}
         finishers: list[tuple[_Pending, dict[str, asyncio.Future]]] = []
+        created: list[str] = []
         loop = asyncio.get_running_loop()
-        for item in batch:
-            if item.future.done():  # deadline already fired while queued
-                continue
-            needed: dict[str, asyncio.Future] = {}
-            resolved = item.resolved
-            for spec, canonical in zip(resolved.request.specs, resolved.canonical_specs):
-                if spec in item.values or spec in needed:
+        try:
+            for item in batch:
+                if item.future.done():  # deadline already fired while queued
                     continue
-                key = resolved.point_key(canonical)
-                hit = self.cache.get(key)
-                if hit is not None:
-                    entry, tier = hit
-                    item.values[spec] = (entry.value, entry.tail, tier)
-                    continue
-                future = self._inflight.get(key)
-                if future is None:
-                    future = loop.create_future()
-                    # Keep abandoned evaluations (every waiter timed out)
-                    # from logging "exception was never retrieved".
-                    future.add_done_callback(self._consume_exception)
-                    self._inflight[key] = future
-                    group = groups.get(resolved._axes_key())
-                    if group is None:
-                        group = _SweepGroup(resolved=resolved)
-                        groups[resolved._axes_key()] = group
-                    group.entries.append((spec, canonical, key))
-                needed[spec] = future
-            finishers.append((item, needed))
+                needed: dict[str, asyncio.Future] = {}
+                resolved = item.resolved
+                for spec, canonical in zip(
+                    resolved.request.specs, resolved.canonical_specs
+                ):
+                    if spec in item.values or spec in needed:
+                        continue
+                    key = resolved.point_key(canonical)
+                    hit = self.cache.get(key)
+                    if hit is not None:
+                        entry, tier = hit
+                        item.values[spec] = (entry.value, entry.tail, tier)
+                        continue
+                    future = self._inflight.get(key)
+                    if future is None:
+                        future = loop.create_future()
+                        # Keep abandoned evaluations (every waiter timed out)
+                        # from logging "exception was never retrieved".
+                        future.add_done_callback(self._consume_exception)
+                        self._inflight[key] = future
+                        created.append(key)
+                        group = groups.get(resolved._axes_key())
+                        if group is None:
+                            group = _SweepGroup(resolved=resolved)
+                            groups[resolved._axes_key()] = group
+                        group.entries.append((spec, canonical, key))
+                    needed[spec] = future
+                finishers.append((item, needed))
+        except Exception as error:
+            logger.exception("advisor failed to plan a batch of %d", len(batch))
+            for key in created:
+                self._inflight.pop(key).set_exception(error)
+            for item in batch:
+                if not item.future.done():
+                    item.future.set_exception(error)
+            return []
 
-        for group in groups.values():
-            self._spawn(self._evaluate_group(group))
+        sweeps = [self._spawn(self._evaluate_group(group)) for group in groups.values()]
         batch_size = len(batch)
         for item, needed in finishers:
             if needed:
                 self._spawn(self._finish(item, needed, batch_size))
             elif not item.future.done():
                 item.future.set_result((item.values, batch_size))
+        return sweeps
 
-    def _spawn(self, coro) -> None:
+    def _spawn(self, coro) -> asyncio.Task:
         task = asyncio.create_task(coro)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        return task
 
     @staticmethod
     def _consume_exception(future: asyncio.Future) -> None:
@@ -469,7 +479,11 @@ class AdvisorService:
                 future.set_result(cached)
 
     def _run_sweep(self, group: _SweepGroup) -> list:
-        """Pool-thread entry: one sweep over the group's distinct specs."""
+        """Pool-thread entry: one serial sweep over the group's distinct specs.
+
+        The evaluation slot is the parallelism; a nested pool per sweep
+        would only contend for the GIL with the other slots.
+        """
         resolved = group.resolved
         specs = [spec for spec, _, _ in group.entries]
         self.metrics.record_evaluations(len(specs), 1)
@@ -479,6 +493,7 @@ class AdvisorService:
             clusters=resolved.cluster,
             scenarios=[resolved.scenario] if resolved.scenario is not None else None,
             metric=resolved.metric,
+            executor="serial",
             **resolved.metric_kwargs,
         )
         return list(result.points)
@@ -491,6 +506,13 @@ class AdvisorService:
             for spec, future in needed.items():
                 cached: CachedPoint = await future
                 item.values[spec] = (cached.value, cached.tail, "computed")
+        except asyncio.CancelledError:
+            # Abrupt stop: the caller must not wait on an abandoned request.
+            if not item.future.done():
+                item.future.set_exception(
+                    ServiceStoppedError("service stopped during evaluation")
+                )
+            raise
         except Exception as error:
             if not item.future.done():
                 item.future.set_exception(error)

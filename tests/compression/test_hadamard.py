@@ -1,10 +1,13 @@
 """Unit tests for the randomized Hadamard transform."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.compression.hadamard import (
     HadamardRotation,
+    _butterfly_passes,
     depth_for_shared_memory,
     full_depth,
     pad_to_power_of_two,
@@ -128,6 +131,36 @@ class TestRotation:
         rotated, _ = rotation.forward(rng.standard_normal(16))
         with pytest.raises(ValueError):
             rotation.inverse(rotated, 100)
+
+
+def _copying_butterfly_passes(vector: np.ndarray, depth: int) -> np.ndarray:
+    """The earlier copy-per-pass butterfly loop, kept as a bit-exact oracle."""
+    data = vector.reshape(-1)
+    size = data.size
+    stride = 1
+    for _ in range(depth):
+        shaped = data.reshape(size // (2 * stride), 2, stride)
+        upper = shaped[:, 0, :].copy()
+        lower = shaped[:, 1, :].copy()
+        shaped[:, 0, :] = (upper + lower) / math.sqrt(2.0)
+        shaped[:, 1, :] = (upper - lower) / math.sqrt(2.0)
+        data = shaped.reshape(size)
+        stride *= 2
+    return data
+
+
+class TestButterflyPasses:
+    @pytest.mark.parametrize("depth", range(14))
+    def test_bit_identical_to_copying_loop(self, depth):
+        rng = np.random.default_rng(1000 + depth)
+        for size_exponent in sorted({depth, depth + 2}):
+            size = 1 << max(1, size_exponent)
+            for scale in (1e-30, 1.0, 1e30):
+                vector = rng.standard_normal(size) * scale
+                expected = _copying_butterfly_passes(vector.copy(), depth)
+                actual = _butterfly_passes(vector.copy(), depth)
+                assert actual.dtype == expected.dtype
+                assert actual.tobytes() == expected.tobytes()
 
 
 class TestSharedMemoryDepth:

@@ -9,6 +9,7 @@ pool to stall deterministically.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -36,8 +37,57 @@ def run(coroutine):
 
 
 def make_service(**kwargs) -> AdvisorService:
-    kwargs.setdefault("batch_window", 0.01)
     return AdvisorService(**kwargs)
+
+
+def cold_request(q: int) -> AdviseRequest:
+    """A distinct single-candidate request (one cold point per ``q``)."""
+    return AdviseRequest(specs=(f"qsgd(q={q}, agg=sat)",), workload="bert_large")
+
+
+async def wait_until(predicate, timeout: float = 10.0) -> None:
+    """Yield to the loop until ``predicate()`` holds (the bound only stops a hang)."""
+    give_up = time.perf_counter() + timeout
+    while not predicate():
+        assert time.perf_counter() < give_up, "condition never held"
+        await asyncio.sleep(0.001)
+
+
+class BlockingSweeps:
+    """Replace ``service._run_sweep`` with a stub that parks until released.
+
+    Counts entries and the most sweeps ever inside the stub at once; set
+    :attr:`release` to let every parked and later sweep run the real one.
+    """
+
+    def __init__(self, service: AdvisorService):
+        self.release = threading.Event()
+        self.entered = 0
+        self.active = 0
+        self.max_active = 0
+        self._lock = threading.Lock()
+        self._real = service._run_sweep
+        service._run_sweep = self._run_sweep
+
+    def _run_sweep(self, group):
+        with self._lock:
+            self.entered += 1
+            self.active += 1
+            self.max_active = max(self.max_active, self.active)
+        try:
+            assert self.release.wait(10.0), "blocked sweep never released"
+            return self._real(group)
+        finally:
+            with self._lock:
+                self.active -= 1
+
+    async def hold_every_slot(self, service: AdvisorService) -> list[asyncio.Task]:
+        """Park one single-request batch per evaluation slot."""
+        holders = []
+        for index in range(service.eval_workers):
+            holders.append(asyncio.create_task(service.advise(cold_request(100 + index))))
+            await wait_until(lambda: self.entered == index + 1)
+        return holders
 
 
 class TestBasics:
@@ -151,7 +201,7 @@ class TestSingleFlight:
     def test_late_duplicate_joins_inflight_evaluation(self):
         """A duplicate arriving mid-evaluation waits instead of recomputing."""
         async def scenario():
-            service = make_service(batch_window=0.0)
+            service = make_service()
             real_run_sweep = service._run_sweep
 
             def slow_run_sweep(group):
@@ -337,7 +387,7 @@ class TestBackpressureAndDeadlines:
 
     def test_deadline_rejection_still_warms_cache(self):
         async def scenario():
-            service = make_service(batch_window=0.0)
+            service = make_service()
             real_run_sweep = service._run_sweep
 
             def slow_run_sweep(group):
@@ -360,7 +410,7 @@ class TestBackpressureAndDeadlines:
 
     def test_request_level_deadline_field(self):
         async def scenario():
-            service = make_service(batch_window=0.0)
+            service = make_service()
 
             def stalled_sweep(group):
                 time.sleep(0.3)
@@ -375,6 +425,127 @@ class TestBackpressureAndDeadlines:
                 with pytest.raises(DeadlineExceededError):
                     await service.advise(request)
                 assert time.perf_counter() - started < 0.25
+
+        run(scenario())
+
+
+class FlakyCache(PricingCache):
+    """A pricing cache whose ``fail_on``-th lookup raises (a failing spill tier)."""
+
+    def __init__(self, fail_on: int):
+        super().__init__(max_entries=64)
+        self.lookups = 0
+        self.fail_on = fail_on
+
+    def get(self, key):
+        self.lookups += 1
+        if self.lookups == self.fail_on:
+            raise OSError("disk I/O error")
+        return super().get(key)
+
+
+class TestDispatch:
+    def test_requests_queued_behind_busy_slots_leave_as_one_batch(self):
+        async def scenario():
+            service = make_service()
+            blocker = BlockingSweeps(service)
+            async with service:
+                try:
+                    holders = await blocker.hold_every_slot(service)
+                    queued = [
+                        asyncio.create_task(service.advise(cold_request(q)))
+                        for q in range(2, 8)
+                    ]
+                    await wait_until(lambda: service._queue.qsize() == len(queued))
+                    for _ in range(5):
+                        await asyncio.sleep(0)
+                    assert service._queue.qsize() == len(queued)
+                    assert service.snapshot()["batch"]["count"] == service.eval_workers
+                finally:
+                    blocker.release.set()
+                await asyncio.gather(*holders, *queued)
+                assert service.snapshot()["batch"]["max_size"] == len(queued)
+
+        run(scenario())
+
+    def test_at_most_eval_workers_batches_in_flight(self):
+        async def scenario():
+            service = make_service()
+            blocker = BlockingSweeps(service)
+            real_dispatch = service._dispatch
+            in_flight = [0, 0]  # now, most ever
+
+            def counting_dispatch(batch):
+                sweeps = real_dispatch(batch)
+                if sweeps:
+                    in_flight[0] += 1
+                    in_flight[1] = max(in_flight[1], in_flight[0])
+
+                    def finished(_):
+                        in_flight[0] -= 1
+
+                    asyncio.gather(*sweeps, return_exceptions=True).add_done_callback(
+                        finished
+                    )
+                return sweeps
+
+            service._dispatch = counting_dispatch
+            async with service:
+                try:
+                    # Arrivals spread over loop turns: an ungated batcher
+                    # would dispatch each one as its own batch at once.
+                    tasks = []
+                    for q in range(2, 14):
+                        tasks.append(asyncio.create_task(service.advise(cold_request(q))))
+                        for _ in range(3):
+                            await asyncio.sleep(0)
+                    await wait_until(lambda: blocker.entered == service.eval_workers)
+                finally:
+                    blocker.release.set()
+                await asyncio.gather(*tasks)
+            assert in_flight[1] == service.eval_workers
+            assert blocker.max_active <= service.eval_workers
+
+        run(scenario())
+
+    def test_sweeps_run_serially_inside_their_slot(self):
+        async def scenario():
+            service = make_service()
+            real_sweep = service.session.sweep
+            executors = []
+
+            def recording_sweep(*args, **kwargs):
+                executors.append(kwargs.get("executor"))
+                return real_sweep(*args, **kwargs)
+
+            service.session.sweep = recording_sweep
+            async with service:
+                await service.advise(
+                    AdviseRequest(
+                        specs=(THC, POWERSGD),
+                        workload="bert_large",
+                        scenario="slowdown(w=1, x=8)@5..15",
+                        metric_kwargs={"num_rounds": 20},
+                    )
+                )
+            assert executors == ["serial"]
+
+        run(scenario())
+
+    def test_planning_error_fails_its_batch_and_batcher_keeps_serving(self):
+        """A cache lookup that raises in the batcher fails one batch only."""
+        request = AdviseRequest(specs=(THC, TOPKC), workload="bert_large")
+
+        async def scenario():
+            # Lookups 1-2 are the fast path's; 3-4 the batcher's, which has
+            # already claimed THC's in-flight entry when lookup 4 fails.
+            async with make_service(cache=FlakyCache(fail_on=4)) as service:
+                with pytest.raises(OSError, match="disk I/O error"):
+                    await asyncio.wait_for(service.advise(request), 10.0)
+                assert not service._inflight
+                second = await asyncio.wait_for(service.advise(request), 10.0)
+                assert second.best.provenance == "computed"
+                assert service.snapshot()["rejected_failed"] == 1
 
         run(scenario())
 
@@ -405,23 +576,49 @@ class TestDrain:
 
     def test_abrupt_stop_fails_queued_requests(self):
         async def scenario():
-            service = make_service(batch_window=0.2)  # batcher holds the first item
+            service = make_service()
+            blocker = BlockingSweeps(service)
             await service.start()
-            tasks = [
-                asyncio.create_task(
-                    service.advise(
-                        AdviseRequest(
-                            specs=(f"qsgd(q={q}, agg=sat)",), workload="bert_large"
+            try:
+                holders = await blocker.hold_every_slot(service)
+                tasks = [
+                    asyncio.create_task(
+                        service.advise(
+                            AdviseRequest(
+                                specs=(f"qsgd(q={q}, agg=sat)",), workload="bert_large"
+                            )
                         )
                     )
-                )
-                for q in (2, 4, 8)
-            ]
-            await asyncio.sleep(0)
+                    for q in (2, 4, 8)
+                ]
+                await wait_until(lambda: service._queue.qsize() == len(tasks))
+            finally:
+                # Nothing runs on the loop before stop() has failed the
+                # queue, so releasing the pool threads here only lets the
+                # pool shut down.
+                blocker.release.set()
             await service.stop(drain=False)
             outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+            await asyncio.gather(*holders, return_exceptions=True)
             assert any(isinstance(o, (ServiceStoppedError, asyncio.CancelledError))
                        for o in outcomes)
+
+        run(scenario())
+
+    def test_abrupt_stop_fails_dispatched_requests(self):
+        async def scenario():
+            service = make_service()
+            blocker = BlockingSweeps(service)
+            await service.start()
+            try:
+                holders = await blocker.hold_every_slot(service)
+            finally:
+                blocker.release.set()
+            await service.stop(drain=False)
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*holders, return_exceptions=True), 10.0
+            )
+            assert all(isinstance(o, ServiceStoppedError) for o in outcomes)
 
         run(scenario())
 
