@@ -9,17 +9,22 @@ parameters via the ``@register`` decorator, and run it through exactly the
 same session/utility evaluation as the built-in schemes -- spec parsing,
 ``ef(...)`` composition, and canonical ``.spec()`` formatting included.
 
+A scheme states its round once, in ``protocol``: the kernels it runs and the
+collectives it ships.  Pricing, bucketed pricing and the executed round's
+timeline all follow from that list; the numeric code only runs each
+collective through the round's ledger by stage label.
+
 Run with:  python examples/custom_compressor.py
 """
 
 import numpy as np
 
 from repro.api import ExperimentSession
+from repro.collectives.api import Collective
 from repro.collectives.ops import SumOp
 from repro.compression import Param, SimContext, register
-from repro.compression.base import AggregationResult, AggregationScheme, CostEstimate
+from repro.compression.base import AggregationResult, AggregationScheme, Exchange, Kernel
 from repro.core import compute_utility
-from repro.simulator.timeline import PHASE_COMMUNICATION, PHASE_COMPRESSION
 from repro.training import vgg19_tinyimagenet
 
 
@@ -45,8 +50,11 @@ class RandomBlockCompressor(AggregationScheme):
         self.name = f"randomblock_b{bits_per_coordinate:g}"
         self._round = 0
 
+    def _keep(self, num_coordinates: int) -> int:
+        return max(1, int(num_coordinates * self.bits_per_coordinate / 16.0))
+
     def _block(self, num_coordinates: int, rng: np.random.Generator) -> np.ndarray:
-        keep = max(1, int(num_coordinates * self.bits_per_coordinate / 16.0))
+        keep = self._keep(num_coordinates)
         start = int(rng.integers(0, max(1, num_coordinates - keep)))
         return np.arange(start, min(num_coordinates, start + keep))
 
@@ -54,21 +62,20 @@ class RandomBlockCompressor(AggregationScheme):
         del num_coordinates, world_size
         return self.bits_per_coordinate
 
-    def estimate_costs(self, num_coordinates: int, ctx: SimContext) -> CostEstimate:
-        keep = max(1, int(num_coordinates * self.bits_per_coordinate / 16.0))
-        communication = ctx.backend.cost_model.ring_allreduce(keep * 16.0).seconds
-        compression = ctx.kernels.chunk_gather_time(keep)
-        return CostEstimate(compression, communication, self.bits_per_coordinate)
+    def protocol(self, num_coordinates: int, ctx: SimContext):
+        keep = self._keep(num_coordinates)
+        return (
+            Kernel.compress(f"{self.name}:gather", ctx.kernels.chunk_gather_time(keep)),
+            Exchange(f"{self.name}:allreduce", Collective.RING_ALLREDUCE, keep, 16.0),
+        )
 
-    def aggregate(self, worker_gradients, ctx: SimContext) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
+    def _aggregate_batched(self, rows, ctx: SimContext, ledger) -> AggregationResult:
+        d = ledger.num_coordinates
         block = self._block(d, np.random.default_rng(self._round))
         self._round += 1
 
-        payloads = [g[block].astype(np.float16).astype(np.float32) for g in worker_gradients]
-        reduce_result = ctx.backend.allreduce(payloads, wire_bits_per_value=16.0, op=SumOp())
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:gather", ctx.kernels.chunk_gather_time(block.size))
-        ctx.add_time(PHASE_COMMUNICATION, f"{self.name}:allreduce", reduce_result.cost.seconds)
+        payloads = [np.asarray(row)[block].astype(np.float16).astype(np.float32) for row in rows]
+        reduce_result = ledger.allreduce("allreduce", payloads, op=SumOp())
 
         mean = np.zeros(d, dtype=np.float32)
         mean[block] = np.asarray(reduce_result.aggregate) / ctx.world_size
@@ -77,12 +84,7 @@ class RandomBlockCompressor(AggregationScheme):
             dense = np.zeros(d, dtype=np.float32)
             dense[block] = payload
             transmitted.append(dense)
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=self.bits_per_coordinate,
-            per_worker_transmitted=transmitted,
-            communication_seconds=reduce_result.cost.seconds,
-        )
+        return ledger.result(mean, transmitted)
 
 
 def main() -> None:

@@ -18,8 +18,8 @@ see, each protecting a property the test and benchmark suites rely on:
   synchronous sqlite, ``subprocess``) inside ``async def`` in the service
   layer without executor offload.
 * **RPL006 registry contract** -- every ``@register``-ed scheme defines
-  ``aggregate_matrix`` and ``estimate_bucket_costs`` or explicitly
-  inherits them.
+  ``protocol`` and a batched kernel (``_aggregate_batched``, or its own
+  ``aggregate_matrix``) or explicitly inherits them.
 
 Run it with ``python -m repro.analysis [paths...]``; configuration lives in
 ``pyproject.toml`` under ``[tool.reprolint]``; suppress a deliberate

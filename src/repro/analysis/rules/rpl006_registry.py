@@ -1,22 +1,24 @@
-"""RPL006: the scheme-registry hot-path contract.
+"""RPL006: the scheme-registry contract.
 
-Every ``@register``-ed scheme family is priced through two entry points the
-rest of the system assumes exist *deliberately*: ``aggregate_matrix`` (the
-PR 4 batched backend -- falling back to the base implementation silently
-costs the 13.9-22.5x speedup) and ``estimate_bucket_costs`` (the PR 2
-pipeline simulator's layer-aware pricing -- the base default is a uniform
-split that is wrong for layer-aware schemes like PowerSGD).  A newly
-registered family that merely *forgets* one of them still runs, just slower
-or subtly mispriced.
+Every ``@register``-ed scheme family states its protocol once, as
+``protocol(d, ctx)``: pricing, bucket pricing, the executed round's timeline
+and its reported seconds are all derived from that stage list, so a family
+without it cannot be priced at all.  The family must also bring its batched
+kernel: either ``_aggregate_batched`` (the numerics the base class's
+validate-and-dispatch ``aggregate``/``aggregate_matrix`` run) or its own
+``aggregate_matrix`` (wrappers with their own dispatch, like error
+feedback).  The base ``_aggregate_batched`` only raises, so a family that
+forgets it still imports and prices, then fails on its first executed round.
 
 This semantic pass over class bodies requires each ``@register``-ed class
-to either define both methods or state the inheritance explicitly::
+to define both, or to state an inheritance explicitly::
 
-    class MyScheme(AggregationScheme):
-        # uniform per-bucket split of estimate_cost is correct here
-        estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
+    class MyScheme(OtherScheme):
+        # the parent's numerics are right for this variant
+        _aggregate_batched = OtherScheme._aggregate_batched
 
-so "uses the default" is always a reviewed decision, never an accident.
+so "uses an inherited implementation" is always a reviewed decision, never
+an accident.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from repro.analysis.findings import Finding
 from repro.analysis.registry import rule
 from repro.analysis.rules.base import decorator_base_name
 
-_REQUIRED = ("aggregate_matrix", "estimate_bucket_costs")
+#: Each entry is a method name, or a tuple of alternatives one of which must
+#: be defined.
+_REQUIRED = ("protocol", ("_aggregate_batched", "aggregate_matrix"))
 
 
 def _register_decorator(node: ast.ClassDef) -> bool:
@@ -60,9 +64,9 @@ def _defined_names(node: ast.ClassDef) -> set[str]:
     "RPL006",
     name="registry-contract",
     invariant=(
-        "every @register-ed scheme defines aggregate_matrix and "
-        "estimate_bucket_costs, or explicitly inherits them "
-        "(`name = Base.name`) so the default is a reviewed decision"
+        "every @register-ed scheme defines protocol and a batched kernel "
+        "(_aggregate_batched, or its own aggregate_matrix), or explicitly "
+        "inherits them (`name = Base.name`) so the default is a reviewed decision"
     ),
     default_paths=("src/repro",),
     default_options={"required_methods": _REQUIRED},
@@ -76,7 +80,14 @@ class RegistryContractRule:
             if not _register_decorator(node):
                 continue
             defined = _defined_names(node)
-            missing = [name for name in required if name not in defined]
+            missing = [
+                " or ".join(names)
+                for names in (
+                    (entry,) if isinstance(entry, str) else tuple(entry)
+                    for entry in required
+                )
+                if not defined.intersection(names)
+            ]
             if missing:
                 yield ctx.finding(
                     node,

@@ -80,7 +80,7 @@ class TransportBackend(CollectiveBackend):
     :class:`~repro.compression.base.SimContext`: the functional result comes
     from the :class:`AggregationServer` at the other end of ``endpoint``,
     while the priced :class:`CollectiveCost` is computed by the same cost
-    model the simulator uses, so ``ctx.add_time`` keeps working.
+    model the simulator uses, so the round's timeline keeps its priced seconds.
     """
 
     def __init__(

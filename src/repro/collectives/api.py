@@ -159,6 +159,15 @@ class CollectiveBackend:
             return self.cost_model.switch_aggregation(payload_bits)
         raise ValueError(f"{collective} is not an all-reduce collective")
 
+    def collective_cost(
+        self, payload_bits: float, collective: Collective
+    ) -> CollectiveCost:
+        """The priced cost of one call of ``collective`` with a per-worker
+        payload of ``payload_bits`` (all-reduce schedules or all-gather)."""
+        if collective is Collective.ALLGATHER:
+            return self.cost_model.allgather(payload_bits)
+        return self.allreduce_cost(payload_bits, collective)
+
     def allreduce_matrix(
         self,
         matrix: np.ndarray,

@@ -14,12 +14,15 @@ the scheme's ``per_worker_transmitted`` report to update the residuals:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.compression.base import (
     AggregationResult,
     AggregationScheme,
-    CostEstimate,
+    Kernel,
+    RoundLedger,
     SimContext,
 )
 from repro.compression.kernels import LazyTransmitted
@@ -56,36 +59,27 @@ class ErrorFeedback(AggregationScheme):
     def expected_bits_per_coordinate(self, num_coordinates: int, world_size: int) -> float:
         return self.scheme.expected_bits_per_coordinate(num_coordinates, world_size)
 
-    def estimate_costs(self, num_coordinates: int, ctx: SimContext) -> CostEstimate:
-        """EF adds one elementwise residual update to the wrapped scheme's cost."""
-        inner = self.scheme.estimate_costs(num_coordinates, ctx)
-        residual_update = 2 * ctx.kernels.elementwise_sum_time(num_coordinates)
-        return CostEstimate(
-            compression_seconds=inner.compression_seconds + residual_update,
-            communication_seconds=inner.communication_seconds,
-            bits_per_coordinate=inner.bits_per_coordinate,
+    def _residual_update(self, num_coordinates: int, ctx: SimContext, share: int = 1) -> Kernel:
+        """The residual update: two elementwise passes (add, subtract), or
+        its ``1 / share`` part when the round is split into ``share`` buckets."""
+        seconds = 2 * ctx.kernels.elementwise_sum_time(num_coordinates)
+        return Kernel.compress(f"{self.name}:residual_update", seconds / share)
+
+    def protocol(self, num_coordinates: int, ctx: SimContext):
+        """The wrapped scheme's protocol plus the residual update."""
+        return self.scheme.protocol(num_coordinates, ctx) + (
+            self._residual_update(num_coordinates, ctx),
         )
 
-    def estimate_bucket_costs(
-        self, num_coordinates: int, num_buckets: int, ctx: SimContext
-    ) -> list[CostEstimate]:
-        """Delegate bucketing to the wrapped scheme, adding the residual update.
-
-        The whole-gradient residual update is split equally across the
-        wrapped scheme's buckets (it is one elementwise pass, so any split
-        summing to the total keeps the aggregate cost right).
-        """
-        inner = self.scheme.estimate_bucket_costs(num_coordinates, num_buckets, ctx)
-        residual_update = 2 * ctx.kernels.elementwise_sum_time(num_coordinates)
-        share = residual_update / len(inner)
-        return [
-            CostEstimate(
-                compression_seconds=estimate.compression_seconds + share,
-                communication_seconds=estimate.communication_seconds,
-                bits_per_coordinate=estimate.bits_per_coordinate,
-            )
-            for estimate in inner
-        ]
+    def bucket_protocols(self, num_coordinates: int, num_buckets: int, ctx: SimContext):
+        """The wrapped scheme's buckets, each with an equal share of the
+        whole-gradient residual update (one elementwise pass, so any split
+        summing to the total keeps the round's cost right)."""
+        inner = self.scheme.bucket_protocols(num_coordinates, num_buckets, ctx)
+        share = self._residual_update(num_coordinates, ctx, len(inner))
+        # Inner buckets that share a stage tuple keep sharing it.
+        extended = {id(stages): stages + (share,) for _, stages in inner}
+        return [(coordinates, extended[id(stages)]) for coordinates, stages in inner]
 
     def reset_state(self) -> None:
         """Clear the residuals (e.g. between independent experiments)."""
@@ -152,7 +146,7 @@ class ErrorFeedback(AggregationScheme):
             # residual (what PowerSGD's reference implementation does).
             for index, adj in enumerate(adjusted):
                 residuals[index] = (adj - result.mean_estimate).astype(np.float32) * self.decay
-        return result
+        return self._charge_residual_update(result, d, ctx)
 
     def aggregate_matrix(
         self, matrix: np.ndarray, ctx: SimContext
@@ -187,4 +181,13 @@ class ErrorFeedback(AggregationScheme):
             )
         if self.decay != 1.0:
             residuals *= np.float32(self.decay)
-        return result
+        return self._charge_residual_update(result, adjusted.shape[1], ctx)
+
+    def _charge_residual_update(
+        self, result: AggregationResult, num_coordinates: int, ctx: SimContext
+    ) -> AggregationResult:
+        """Charge the residual update on top of the wrapped scheme's round
+        (which charged its own stages)."""
+        stages = (self._residual_update(num_coordinates, ctx),)
+        compression, _ = RoundLedger(self, num_coordinates, ctx, stages).close()
+        return replace(result, compression_seconds=result.compression_seconds + compression)

@@ -25,19 +25,16 @@ import math
 
 import numpy as np
 
+from repro.collectives.api import Collective
 from repro.collectives.ops import MeanOp
 from repro.compression.base import (
     AggregationResult,
     AggregationScheme,
-    CostEstimate,
+    Exchange,
+    Kernel,
     SimContext,
 )
 from repro.compression.spec import Param, register
-from repro.simulator.timeline import (
-    PHASE_COMMUNICATION,
-    PHASE_COMPRESSION,
-    PHASE_DECOMPRESSION,
-)
 
 
 def default_layer_shapes(num_coordinates: int) -> list[tuple[int, int]]:
@@ -185,97 +182,77 @@ class PowerSGDCompressor(AggregationScheme):
         del rng
         return seeded.standard_normal((cols, self.rank))
 
-    def estimate_costs(self, num_coordinates: int, ctx: SimContext) -> CostEstimate:
-        if num_coordinates <= 0:
-            raise ValueError("num_coordinates must be positive")
+    def protocol(self, num_coordinates: int, ctx: SimContext):
         shapes = self._shapes_for(num_coordinates)
-        covered = sum(rows * cols for rows, cols in shapes)
-        compression = ctx.kernels.elementwise_sum_time(num_coordinates)
-        factor_values = 0
-        for rows, cols in shapes:
-            size = rows * cols
-            compression += ctx.kernels.powersgd_time(size, self.rank, rows=rows)
-            factor_values += (rows + cols) * self.rank
-        # The P and Q factors of all layers are bucketed into two all-reduces.
-        communication = 2 * ctx.backend.cost_model.ring_allreduce(
-            factor_values * float(self.factor_bits) / 2.0
-        ).seconds
-        tail = num_coordinates - covered
-        if tail > 0:
-            communication += ctx.backend.cost_model.ring_allreduce(tail * 16.0).seconds
-        return CostEstimate(
-            compression_seconds=compression,
-            communication_seconds=communication,
-            bits_per_coordinate=self.expected_bits_per_coordinate(
-                num_coordinates, ctx.world_size
-            ),
-        )
+        tail = num_coordinates - sum(rows * cols for rows, cols in shapes)
+        return self._layer_stages(shapes, 0, tail, num_coordinates, ctx)
 
-    def estimate_bucket_costs(
-        self, num_coordinates: int, num_buckets: int, ctx: SimContext
-    ) -> list[CostEstimate]:
-        """Per-bucket pricing that partitions whole layers, not coordinates.
+    def bucket_protocols(self, num_coordinates: int, num_buckets: int, ctx: SimContext):
+        """Buckets of whole layers, not coordinates.
 
         PowerSGD's cost is structured by layer shapes, so a bucket is a
         contiguous group of layers (the uncompressed tail rides with the last
         bucket); splitting raw coordinate ranges would tear matrices apart.
+        Every bucket reports the whole gradient's bits per coordinate.
         """
         from repro.simulator.pipeline import split_coordinates
 
-        if num_coordinates <= 0:
-            raise ValueError("num_coordinates must be positive")
         shapes = self._shapes_for(num_coordinates)
         if num_buckets <= 1 or len(shapes) == 1:
-            return [self.estimate_costs(num_coordinates, ctx)]
-        covered = sum(rows * cols for rows, cols in shapes)
-        tail = num_coordinates - covered
+            return [(num_coordinates, self.protocol(num_coordinates, ctx))]
+        tail = num_coordinates - sum(rows * cols for rows, cols in shapes)
         group_sizes = split_coordinates(len(shapes), min(num_buckets, len(shapes)))
-        bits = self.expected_bits_per_coordinate(num_coordinates, ctx.world_size)
-
-        estimates = []
+        buckets = []
         offset = 0
         for group_index, group_size in enumerate(group_sizes):
             group = shapes[offset : offset + group_size]
+            group_tail = tail if group_index == len(group_sizes) - 1 else 0
+            coordinates = sum(rows * cols for rows, cols in group) + group_tail
+            stages = self._layer_stages(group, offset, group_tail, coordinates, ctx)
+            buckets.append((num_coordinates, stages))
             offset += group_size
-            last = group_index == len(group_sizes) - 1
-            group_coordinates = sum(rows * cols for rows, cols in group)
-            if last:
-                group_coordinates += tail
-            compression = ctx.kernels.elementwise_sum_time(group_coordinates)
-            factor_values = 0
-            for rows, cols in group:
-                compression += ctx.kernels.powersgd_time(rows * cols, self.rank, rows=rows)
-                factor_values += (rows + cols) * self.rank
-            communication = 2 * ctx.backend.cost_model.ring_allreduce(
-                factor_values * float(self.factor_bits) / 2.0
-            ).seconds
-            if last and tail > 0:
-                communication += ctx.backend.cost_model.ring_allreduce(tail * 16.0).seconds
-            estimates.append(
-                CostEstimate(
-                    compression_seconds=compression,
-                    communication_seconds=communication,
-                    bits_per_coordinate=bits,
-                )
+        return buckets
+
+    def _layer_stages(
+        self,
+        shapes: list[tuple[int, int]],
+        first_layer: int,
+        tail: int,
+        coordinates: int,
+        ctx: SimContext,
+    ):
+        """Stages of the layers ``shapes`` (numbered from ``first_layer``),
+        plus ``tail`` uncompressed coordinates, over ``coordinates`` in all."""
+        name = self.name
+        stage_times = ctx.kernels.powersgd_stage_times
+        stages = []
+        factor_values = 0
+        for index, (rows, cols) in enumerate(shapes, start=first_layer):
+            matmuls, orthogonalize = stage_times(rows * cols, self.rank, rows=rows)
+            stages.append(Kernel.compress(f"{name}:layer{index}:matmuls", matmuls))
+            stages.append(Kernel.compress(f"{name}:layer{index}:orthogonalize", orthogonalize))
+            factor_values += (rows + cols) * self.rank
+        # The P and Q factors of all layers are priced as two bucketed
+        # all-reduces (the numerics run one P and one Q call per layer).
+        stages.append(
+            Exchange(
+                f"{name}:factor_allreduce",
+                Collective.RING_ALLREDUCE,
+                factor_values / 2.0,
+                float(self.factor_bits),
+                calls=2,
             )
-        return estimates
+        )
+        if tail > 0:
+            stages.append(
+                Exchange(f"{name}:tail_allreduce", Collective.RING_ALLREDUCE, tail, 16.0)
+            )
+        stages.append(
+            Kernel.decompress(f"{name}:reconstruct", ctx.kernels.elementwise_sum_time(coordinates))
+        )
+        return tuple(stages)
 
-    # ------------------------------------------------------------------ #
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
-
-    def _aggregate_batched(self, rows_in, ctx: SimContext, d: int) -> AggregationResult:
+    def _aggregate_batched(self, rows_in, ctx: SimContext, ledger) -> AggregationResult:
         """Per-layer power iteration with the workers stacked on a batch axis.
 
         ``P_i = M_i Q`` and ``Q_i = M_i^T P`` become single batched float64
@@ -283,12 +260,9 @@ class PowerSGDCompressor(AggregationScheme):
         GEMM calls, and the factor all-reduces fold the stacked factors with
         the exact legacy ring order.
         """
-        n = ctx.world_size
+        n, d = ctx.world_size, ledger.num_coordinates
         shapes = self._shapes_for(d)
         covered = sum(rows * cols for rows, cols in shapes)
-
-        compression_seconds = 0.0
-        communication_seconds = 0.0
         mean_estimate = np.zeros(d, dtype=np.float32)
 
         offset = 0
@@ -307,12 +281,9 @@ class PowerSGDCompressor(AggregationScheme):
 
             # Step 1: P_i = M_i Q, all-reduce P (mean).
             p_locals = np.matmul(tensor, q)
-            p_reduce = ctx.backend.allreduce_matrix(
-                p_locals.reshape(n, rows * self.rank),
-                wire_bits_per_value=float(self.factor_bits),
-                op=MeanOp(),
+            p_reduce = ledger.allreduce_matrix(
+                "factor_allreduce", p_locals.reshape(n, rows * self.rank), op=MeanOp()
             )
-            communication_seconds += p_reduce.cost.seconds
             p_mean = np.asarray(p_reduce.aggregate).reshape(rows, self.rank)
 
             # Step 2: orthogonalize P.
@@ -320,12 +291,9 @@ class PowerSGDCompressor(AggregationScheme):
 
             # Step 3: Q_i = M_i^T P_hat, all-reduce Q (mean).
             q_locals = np.matmul(tensor.transpose(0, 2, 1), p_hat)
-            q_reduce = ctx.backend.allreduce_matrix(
-                q_locals.reshape(n, cols * self.rank),
-                wire_bits_per_value=float(self.factor_bits),
-                op=MeanOp(),
+            q_reduce = ledger.allreduce_matrix(
+                "factor_allreduce", q_locals.reshape(n, cols * self.rank), op=MeanOp()
             )
-            communication_seconds += q_reduce.cost.seconds
             q_mean = np.asarray(q_reduce.aggregate).reshape(cols, self.rank)
 
             if self.warm_start:
@@ -334,23 +302,7 @@ class PowerSGDCompressor(AggregationScheme):
             # Step 4: rank-r reconstruction of the mean gradient.
             approx = (p_hat @ q_mean.T).reshape(-1)[:segment]
             mean_estimate[offset : offset + approx.size] = approx.astype(np.float32)
-
-            # Kernel costs: the two matmuls + orthogonalization.
-            layer_compute = ctx.kernels.powersgd_time(size, self.rank, rows=rows)
-            ortho_only = ctx.kernels.orthogonalization_time(size, self.rank, rows=rows)
-            compression_seconds += layer_compute
-            ctx.add_time(
-                PHASE_COMPRESSION, f"{self.name}:layer{layer_index}:matmuls",
-                layer_compute - ortho_only,
-            )
-            ctx.add_time(
-                PHASE_COMPRESSION, f"{self.name}:layer{layer_index}:orthogonalize", ortho_only
-            )
             offset += size
-
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:factor_allreduce", communication_seconds
-        )
 
         # Uncompressed tail (coordinates not covered by any layer matrix).
         tail = d - covered
@@ -360,35 +312,19 @@ class PowerSGDCompressor(AggregationScheme):
                 [np.asarray(rows_in[i])[covered:] for i in range(n)], tail_matrix
             )
             np.copyto(tail_matrix, tail_matrix.astype(np.float16), casting="unsafe")
-            tail_reduce = ctx.backend.allreduce_matrix(
-                tail_matrix, wire_bits_per_value=16.0, op=MeanOp()
-            )
-            communication_seconds += tail_reduce.cost.seconds
-            ctx.add_time(
-                PHASE_COMMUNICATION, f"{self.name}:tail_allreduce", tail_reduce.cost.seconds
-            )
+            tail_reduce = ledger.allreduce_matrix("tail_allreduce", tail_matrix, op=MeanOp())
             mean_estimate[covered:] = np.asarray(tail_reduce.aggregate, dtype=np.float32)
 
-        reconstruct_seconds = ctx.kernels.elementwise_sum_time(d)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:reconstruct", reconstruct_seconds)
-        compression_seconds += reconstruct_seconds
-
-        return AggregationResult(
-            mean_estimate=mean_estimate,
-            bits_per_coordinate=self.expected_bits_per_coordinate(d, ctx.world_size),
-            per_worker_transmitted=[np.array(mean_estimate, copy=True) for _ in range(n)],
-            communication_seconds=communication_seconds,
-            compression_seconds=compression_seconds,
+        return ledger.result(
+            mean_estimate, [np.array(mean_estimate, copy=True) for _ in range(n)]
         )
 
     def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
+        self, worker_gradients: list[np.ndarray], ctx: SimContext, ledger
     ) -> AggregationResult:
+        d = ledger.num_coordinates
         shapes = self._shapes_for(d)
         covered = sum(rows * cols for rows, cols in shapes)
-
-        compression_seconds = 0.0
-        communication_seconds = 0.0
         mean_estimate = np.zeros(d, dtype=np.float32)
 
         offset = 0
@@ -406,10 +342,7 @@ class PowerSGDCompressor(AggregationScheme):
             # Step 1: P_i = M_i Q, all-reduce P (mean).
             p_locals = [m @ q for m in worker_matrices]
             p_flat = [p.reshape(-1) for p in p_locals]
-            p_reduce = ctx.backend.allreduce(
-                p_flat, wire_bits_per_value=float(self.factor_bits), op=MeanOp()
-            )
-            communication_seconds += p_reduce.cost.seconds
+            p_reduce = ledger.allreduce("factor_allreduce", p_flat, op=MeanOp())
             p_mean = np.asarray(p_reduce.aggregate).reshape(rows, self.rank)
 
             # Step 2: orthogonalize P.
@@ -418,10 +351,7 @@ class PowerSGDCompressor(AggregationScheme):
             # Step 3: Q_i = M_i^T P_hat, all-reduce Q (mean).
             q_locals = [m.T @ p_hat for m in worker_matrices]
             q_flat = [qm.reshape(-1) for qm in q_locals]
-            q_reduce = ctx.backend.allreduce(
-                q_flat, wire_bits_per_value=float(self.factor_bits), op=MeanOp()
-            )
-            communication_seconds += q_reduce.cost.seconds
+            q_reduce = ledger.allreduce("factor_allreduce", q_flat, op=MeanOp())
             q_mean = np.asarray(q_reduce.aggregate).reshape(cols, self.rank)
 
             if self.warm_start:
@@ -430,23 +360,7 @@ class PowerSGDCompressor(AggregationScheme):
             # Step 4: rank-r reconstruction of the mean gradient.
             approx = (p_hat @ q_mean.T).reshape(-1)[: min(size, d - offset)]
             mean_estimate[offset : offset + approx.size] = approx.astype(np.float32)
-
-            # Kernel costs: the two matmuls + orthogonalization.
-            layer_compute = ctx.kernels.powersgd_time(size, self.rank, rows=rows)
-            ortho_only = ctx.kernels.orthogonalization_time(size, self.rank, rows=rows)
-            compression_seconds += layer_compute
-            ctx.add_time(
-                PHASE_COMPRESSION, f"{self.name}:layer{layer_index}:matmuls",
-                layer_compute - ortho_only,
-            )
-            ctx.add_time(
-                PHASE_COMPRESSION, f"{self.name}:layer{layer_index}:orthogonalize", ortho_only
-            )
             offset += size
-
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:factor_allreduce", communication_seconds
-        )
 
         # Uncompressed tail (coordinates not covered by any layer matrix).
         tail = d - covered
@@ -454,23 +368,9 @@ class PowerSGDCompressor(AggregationScheme):
             tail_vectors = [
                 g[covered:].astype(np.float16).astype(np.float32) for g in worker_gradients
             ]
-            tail_reduce = ctx.backend.allreduce(
-                tail_vectors, wire_bits_per_value=16.0, op=MeanOp()
-            )
-            communication_seconds += tail_reduce.cost.seconds
-            ctx.add_time(
-                PHASE_COMMUNICATION, f"{self.name}:tail_allreduce", tail_reduce.cost.seconds
-            )
+            tail_reduce = ledger.allreduce("tail_allreduce", tail_vectors, op=MeanOp())
             mean_estimate[covered:] = np.asarray(tail_reduce.aggregate, dtype=np.float32)
 
-        reconstruct_seconds = ctx.kernels.elementwise_sum_time(d)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:reconstruct", reconstruct_seconds)
-        compression_seconds += reconstruct_seconds
-
-        return AggregationResult(
-            mean_estimate=mean_estimate,
-            bits_per_coordinate=self.expected_bits_per_coordinate(d, ctx.world_size),
-            per_worker_transmitted=[np.array(mean_estimate, copy=True) for _ in worker_gradients],
-            communication_seconds=communication_seconds,
-            compression_seconds=compression_seconds,
+        return ledger.result(
+            mean_estimate, [np.array(mean_estimate, copy=True) for _ in worker_gradients]
         )

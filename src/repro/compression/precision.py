@@ -15,12 +15,12 @@ from repro.collectives.ops import MeanOp
 from repro.compression.base import (
     AggregationResult,
     AggregationScheme,
-    CostEstimate,
+    Exchange,
+    Kernel,
     SimContext,
 )
 from repro.compression.spec import Param, register
 from repro.simulator.gpu import Precision
-from repro.simulator.timeline import PHASE_COMMUNICATION, PHASE_COMPRESSION
 
 
 @register(
@@ -55,102 +55,45 @@ class PrecisionBaseline(AggregationScheme):
         del num_coordinates, world_size
         return float(self.wire_precision.bits)
 
-    def estimate_costs(self, num_coordinates: int, ctx: SimContext) -> CostEstimate:
-        if num_coordinates <= 0:
-            raise ValueError("num_coordinates must be positive")
+    def protocol(self, num_coordinates: int, ctx: SimContext):
         if self.wire_precision is Precision.FP16:
             cast_seconds = ctx.kernels.cast_time(num_coordinates, 32, 16) + ctx.kernels.cast_time(
                 num_coordinates, 16, 32
             )
         else:
             cast_seconds = 0.0
-        payload_bits = num_coordinates * float(self.wire_precision.bits)
-        if self.collective is Collective.RING_ALLREDUCE:
-            cost = ctx.backend.cost_model.ring_allreduce(payload_bits)
-        else:
-            cost = ctx.backend.cost_model.tree_allreduce(payload_bits)
-        return CostEstimate(
-            compression_seconds=cast_seconds,
-            communication_seconds=cost.seconds,
-            bits_per_coordinate=float(self.wire_precision.bits),
+        return (
+            Kernel.compress(f"{self.name}:cast", cast_seconds),
+            Exchange(
+                f"{self.name}:allreduce",
+                self.collective,
+                num_coordinates,
+                float(self.wire_precision.bits),
+            ),
         )
 
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
-    # RPL006: the uniform near-equal coordinate split of the base
-    # implementation is the right bucket pricing here (no layer
-    # structure to respect), so the inheritance is stated explicitly.
-    estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
-
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
-
-    def _aggregate_batched(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+    def _aggregate_batched(self, rows, ctx: SimContext, ledger) -> AggregationResult:
         """One float32 matrix fold (bit-identical to the per-worker path)."""
-        n = ctx.world_size
+        n, d = ctx.world_size, ledger.num_coordinates
         wire = np.empty((n, d), dtype=np.float32)
         self._gather_rows(rows, wire)
         if self.wire_precision is Precision.FP16:
             np.copyto(wire, wire.astype(np.float16), casting="unsafe")
-            cast_seconds = ctx.kernels.cast_time(d, 32, 16) + ctx.kernels.cast_time(d, 16, 32)
-        else:
-            cast_seconds = 0.0
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:cast", cast_seconds)
-
-        result = ctx.backend.allreduce_matrix(
-            wire,
-            wire_bits_per_value=self.wire_precision.bits,
-            op=MeanOp(),
-            collective=self.collective,
-        )
-        ctx.add_time(PHASE_COMMUNICATION, f"{self.name}:allreduce", result.cost.seconds)
-
+        result = ledger.allreduce_matrix("allreduce", wire, op=MeanOp())
         mean = np.asarray(result.aggregate, dtype=np.float32)
         transmitted = list(wire) if self.wire_precision is Precision.FP16 else None
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=float(self.wire_precision.bits),
-            per_worker_transmitted=transmitted,
-            communication_seconds=result.cost.seconds,
-            compression_seconds=cast_seconds,
-        )
+        return ledger.result(mean, transmitted)
 
     def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
+        self, worker_gradients: list[np.ndarray], ctx: SimContext, ledger
     ) -> AggregationResult:
         if self.wire_precision is Precision.FP16:
             wire_vectors = [g.astype(np.float16).astype(np.float32) for g in worker_gradients]
-            cast_seconds = ctx.kernels.cast_time(d, 32, 16) + ctx.kernels.cast_time(d, 16, 32)
         else:
             wire_vectors = [np.asarray(g, dtype=np.float32) for g in worker_gradients]
-            cast_seconds = 0.0
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:cast", cast_seconds)
-
-        result = ctx.backend.allreduce(
-            wire_vectors,
-            wire_bits_per_value=self.wire_precision.bits,
-            op=MeanOp(),
-            collective=self.collective,
-        )
-        ctx.add_time(PHASE_COMMUNICATION, f"{self.name}:allreduce", result.cost.seconds)
-
+        result = ledger.allreduce("allreduce", wire_vectors, op=MeanOp())
         mean = np.asarray(result.aggregate, dtype=np.float32)
         transmitted = None
         if self.wire_precision is Precision.FP16:
             transmitted = [np.asarray(v, dtype=np.float32) for v in wire_vectors]
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=float(self.wire_precision.bits),
-            per_worker_transmitted=transmitted,
-            communication_seconds=result.cost.seconds,
-            compression_seconds=cast_seconds,
-        )
+        return ledger.result(mean, transmitted)

@@ -21,18 +21,14 @@ from repro.collectives.ops import MaxOp
 from repro.compression.base import (
     AggregationResult,
     AggregationScheme,
-    CostEstimate,
+    Exchange,
+    Kernel,
     SimContext,
 )
 from repro.compression.kernels import LazyTransmitted, smallest_int_dtype
 from repro.compression.quantization import StochasticQuantizer
 from repro.compression.spec import Param, register
 from repro.compression.thc import AggregationMode
-from repro.simulator.timeline import (
-    PHASE_COMMUNICATION,
-    PHASE_COMPRESSION,
-    PHASE_DECOMPRESSION,
-)
 
 
 @register(
@@ -87,41 +83,23 @@ class QSGDCompressor(AggregationScheme):
         # Levels plus one FP32 norm scalar per worker (negligible per coordinate).
         return float(self.wire_bits) + 32.0 / num_coordinates
 
-    def estimate_costs(self, num_coordinates: int, ctx: SimContext) -> CostEstimate:
-        if num_coordinates <= 0:
-            raise ValueError("num_coordinates must be positive")
-        compression = ctx.kernels.quantize_time(
-            num_coordinates, self.quantization_bits
-        ) + ctx.kernels.dequantize_time(num_coordinates, self.quantization_bits)
-        price = self.aggregation.price(ctx.backend.cost_model)
-        communication = (
-            price(32.0).seconds
-            + price(num_coordinates * float(self.wire_bits)).seconds
+    def protocol(self, num_coordinates: int, ctx: SimContext):
+        name = self.name
+        collective = self.aggregation.collective()
+        return (
+            Exchange(f"{name}:norm_allreduce", collective, 1, 32.0),
+            Kernel.compress(
+                f"{name}:quantize",
+                ctx.kernels.quantize_time(num_coordinates, self.quantization_bits),
+            ),
+            Exchange(
+                f"{name}:level_allreduce", collective, num_coordinates, float(self.wire_bits)
+            ),
+            Kernel.decompress(
+                f"{name}:dequantize",
+                ctx.kernels.dequantize_time(num_coordinates, self.quantization_bits),
+            ),
         )
-        return CostEstimate(
-            compression_seconds=compression,
-            communication_seconds=communication,
-            bits_per_coordinate=self.expected_bits_per_coordinate(num_coordinates, 1),
-        )
-
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
-    # RPL006: the uniform near-equal coordinate split of the base
-    # implementation is the right bucket pricing here (no layer
-    # structure to respect), so the inheritance is stated explicitly.
-    estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
-
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
 
     def _wire_headroom(self, world_size: int) -> int:
         """Largest magnitude the integer wire buffer must represent."""
@@ -129,35 +107,20 @@ class QSGDCompressor(AggregationScheme):
             return world_size * self.quantizer.max_level
         return 2 * ((1 << (self.wire_bits - 1)) - 1)
 
-    def _aggregate_batched(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+    def _aggregate_batched(self, rows, ctx: SimContext, ledger) -> AggregationResult:
         """Fused float32 quantization over the stacked worker matrix."""
-        n = ctx.world_size
+        n, d = ctx.world_size, ledger.num_coordinates
         workspace = ctx.workspace
-        collective = self.aggregation.collective()
 
         # Shared norm consensus (same exchange and pricing as the legacy path;
         # per-row norms are computed with the same BLAS reduction).
         per_worker_norms = np.array(
             [[float(np.linalg.norm(rows[i]))] for i in range(n)]
         )
-        norm_reduce = ctx.backend.allreduce_matrix(
-            per_worker_norms, wire_bits_per_value=32.0, op=MaxOp(), collective=collective
-        )
+        norm_reduce = ledger.allreduce_matrix("norm_allreduce", per_worker_norms, op=MaxOp())
         shared_norm = float(np.asarray(norm_reduce.aggregate)[0])
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:norm_allreduce", norm_reduce.cost.seconds
-        )
         if shared_norm == 0.0:
-            zero = np.zeros(d, dtype=np.float32)
-            return AggregationResult(
-                mean_estimate=zero,
-                bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-                per_worker_transmitted=[zero.copy() for _ in range(n)],
-                communication_seconds=norm_reduce.cost.seconds,
-            )
-
-        quantize_seconds = ctx.kernels.quantize_time(d, self.quantization_bits)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:quantize", quantize_seconds)
+            return self._zero_round(ledger)
 
         max_level = float(self.quantizer.max_level)
         scale = 1.0 / max_level  # value_range is exactly 1 after norm scaling
@@ -177,19 +140,9 @@ class QSGDCompressor(AggregationScheme):
         levels = workspace.buf("qsgd.levels", (n, d), smallest_int_dtype(self._wire_headroom(n)))
         np.copyto(levels, floors, casting="unsafe")
 
-        op = self.aggregation.reduce_op(self.wire_bits)
-        level_reduce = ctx.backend.allreduce_matrix(
-            levels,
-            wire_bits_per_value=float(self.wire_bits),
-            op=op,
-            collective=collective,
+        level_reduce = ledger.allreduce_matrix(
+            "level_allreduce", levels, op=self.aggregation.reduce_op(self.wire_bits)
         )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:level_allreduce", level_reduce.cost.seconds
-        )
-
-        dequantize_seconds = ctx.kernels.dequantize_time(d, self.quantization_bits)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:dequantize", dequantize_seconds)
         mean = np.asarray(level_reduce.aggregate).astype(np.float32)
         mean *= np.float32(scale * shared_norm / n)
 
@@ -200,16 +153,16 @@ class QSGDCompressor(AggregationScheme):
             dense *= np.float32(scale * shared_norm)
             return dense
 
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
-            communication_seconds=norm_reduce.cost.seconds + level_reduce.cost.seconds,
-            compression_seconds=quantize_seconds + dequantize_seconds,
-        )
+        return ledger.result(mean, LazyTransmitted(n, materialize_transmitted))
+
+    def _zero_round(self, ledger) -> AggregationResult:
+        """An all-zero round: the norm exchange agrees on 0 and nothing else runs."""
+        zero = np.zeros(ledger.num_coordinates, dtype=np.float32)
+        transmitted = [zero.copy() for _ in range(ledger.ctx.world_size)]
+        return ledger.result(zero, transmitted, through="norm_allreduce")
 
     def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
+        self, worker_gradients: list[np.ndarray], ctx: SimContext, ledger
     ) -> AggregationResult:
         n = ctx.world_size
 
@@ -220,47 +173,25 @@ class QSGDCompressor(AggregationScheme):
         per_worker_norms = [
             np.array([float(np.linalg.norm(g))]) for g in worker_gradients
         ]
-        collective = self.aggregation.collective()
-        norm_reduce = ctx.backend.allreduce(
-            per_worker_norms, wire_bits_per_value=32.0, op=MaxOp(), collective=collective
-        )
+        norm_reduce = ledger.allreduce("norm_allreduce", per_worker_norms, op=MaxOp())
         shared_norm = float(np.asarray(norm_reduce.aggregate)[0])
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:norm_allreduce", norm_reduce.cost.seconds
-        )
         if shared_norm == 0.0:
-            zero = np.zeros(d, dtype=np.float32)
-            return AggregationResult(
-                mean_estimate=zero,
-                bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-                per_worker_transmitted=[zero.copy() for _ in range(n)],
-                communication_seconds=norm_reduce.cost.seconds,
-            )
+            return self._zero_round(ledger)
 
         # Norm-scaled coordinates have magnitude at most 1, so the shared
         # quantization range is exactly 1.
         scaled = [g / shared_norm for g in worker_gradients]
-        quantize_seconds = ctx.kernels.quantize_time(d, self.quantization_bits)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:quantize", quantize_seconds)
         quantized = [
             self.quantizer.quantize(np.asarray(s, dtype=np.float64), ctx.rng, value_range=1.0)
             for s in scaled
         ]
         scale = quantized[0].scale
 
-        op = self.aggregation.reduce_op(self.wire_bits)
-        level_reduce = ctx.backend.allreduce(
+        level_reduce = ledger.allreduce(
+            "level_allreduce",
             [q.levels.astype(np.float64) for q in quantized],
-            wire_bits_per_value=float(self.wire_bits),
-            op=op,
-            collective=collective,
+            op=self.aggregation.reduce_op(self.wire_bits),
         )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:level_allreduce", level_reduce.cost.seconds
-        )
-
-        dequantize_seconds = ctx.kernels.dequantize_time(d, self.quantization_bits)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:dequantize", dequantize_seconds)
         mean = (
             np.asarray(level_reduce.aggregate) * scale * shared_norm / n
         ).astype(np.float32)
@@ -269,10 +200,4 @@ class QSGDCompressor(AggregationScheme):
             (q.levels.astype(np.float64) * scale * shared_norm).astype(np.float32)
             for q in quantized
         ]
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=transmitted,
-            communication_seconds=norm_reduce.cost.seconds + level_reduce.cost.seconds,
-            compression_seconds=quantize_seconds + dequantize_seconds,
-        )
+        return ledger.result(mean, transmitted)

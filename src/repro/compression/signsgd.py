@@ -19,18 +19,15 @@ import math
 import numpy as np
 
 from repro.collectives.ops import MeanOp, SumOp
+from repro.collectives.api import Collective
 from repro.compression.base import (
     AggregationResult,
     AggregationScheme,
-    CostEstimate,
+    Exchange,
+    Kernel,
     SimContext,
 )
 from repro.compression.spec import Param, register
-from repro.simulator.timeline import (
-    PHASE_COMMUNICATION,
-    PHASE_COMPRESSION,
-    PHASE_DECOMPRESSION,
-)
 
 
 @register(
@@ -70,140 +67,67 @@ class SignSGDCompressor(AggregationScheme):
         del num_coordinates
         return float(self.wire_bits_for(world_size))
 
-    def estimate_costs(self, num_coordinates: int, ctx: SimContext) -> CostEstimate:
-        if num_coordinates <= 0:
-            raise ValueError("num_coordinates must be positive")
-        bits = self.wire_bits_for(ctx.world_size)
-        compression = 2 * ctx.kernels.quantize_time(num_coordinates, 1)
-        communication = ctx.backend.cost_model.ring_allreduce(
-            num_coordinates * float(bits)
-        ).seconds
-        if self.scale_by_mean_magnitude:
-            communication += ctx.backend.cost_model.ring_allreduce(32.0).seconds
-        return CostEstimate(
-            compression_seconds=compression,
-            communication_seconds=communication,
-            bits_per_coordinate=float(bits),
+    def protocol(self, num_coordinates: int, ctx: SimContext):
+        name = self.name
+        sign = ctx.kernels.quantize_time(num_coordinates, 1)
+        bits = float(self.wire_bits_for(ctx.world_size))
+        magnitude = (
+            (Exchange(f"{name}:magnitude_allreduce", Collective.RING_ALLREDUCE, 1, 32.0),)
+            if self.scale_by_mean_magnitude
+            else ()
+        )
+        return (
+            Kernel.compress(f"{name}:sign", sign),
+            Exchange(f"{name}:vote_allreduce", Collective.RING_ALLREDUCE, num_coordinates, bits),
+            *magnitude,
+            Kernel.decompress(f"{name}:apply_sign", sign),
         )
 
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
-    # RPL006: the uniform near-equal coordinate split of the base
-    # implementation is the right bucket pricing here (no layer
-    # structure to respect), so the inheritance is stated explicitly.
-    estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
-
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
-
-    def _aggregate_batched(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+    def _aggregate_batched(self, rows, ctx: SimContext, ledger) -> AggregationResult:
         """Vectorized sign voting over the stacked worker matrix.
 
         Sign values and vote counts are small exact integers, so the float32
         matrix fold is value-identical to the legacy float64 per-worker path;
         only the mean-magnitude scalar can differ in its last float32 bits.
         """
-        n = ctx.world_size
-        bits = self.wire_bits_for(n)
-        workspace = ctx.workspace
-
-        sign_seconds = ctx.kernels.quantize_time(d, 1)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:sign", sign_seconds)
+        n, d = ctx.world_size, ledger.num_coordinates
         signs = np.empty((n, d), dtype=np.float32)
         self._gather_rows(rows, signs)
         np.sign(signs, out=signs)
-
-        vote_reduce = ctx.backend.allreduce_matrix(
-            signs, wire_bits_per_value=float(bits), op=SumOp()
-        )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:vote_allreduce", vote_reduce.cost.seconds
-        )
+        vote_reduce = ledger.allreduce_matrix("vote_allreduce", signs, op=SumOp())
         majority = np.sign(np.asarray(vote_reduce.aggregate))
 
-        communication_seconds = vote_reduce.cost.seconds
         magnitude = 1.0
         if self.scale_by_mean_magnitude:
-            magnitudes = workspace.buf("signsgd.magnitude", (n, 1), np.float64)
+            magnitudes = ctx.workspace.buf("signsgd.magnitude", (n, 1), np.float64)
             for index in range(n):
                 magnitudes[index, 0] = float(np.mean(np.abs(rows[index])))
-            magnitude_reduce = ctx.backend.allreduce_matrix(
-                magnitudes, wire_bits_per_value=32.0, op=MeanOp()
+            magnitude_reduce = ledger.allreduce_matrix(
+                "magnitude_allreduce", magnitudes, op=MeanOp()
             )
             magnitude = float(np.asarray(magnitude_reduce.aggregate)[0])
-            communication_seconds += magnitude_reduce.cost.seconds
-            ctx.add_time(
-                PHASE_COMMUNICATION,
-                f"{self.name}:magnitude_allreduce",
-                magnitude_reduce.cost.seconds,
-            )
 
-        unsign_seconds = ctx.kernels.quantize_time(d, 1)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:apply_sign", unsign_seconds)
         mean = (majority * magnitude).astype(np.float32)
-
         signs *= np.float32(magnitude)
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=float(bits),
-            per_worker_transmitted=list(signs),
-            communication_seconds=communication_seconds,
-            compression_seconds=sign_seconds + unsign_seconds,
-        )
+        return ledger.result(mean, list(signs))
 
     def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
+        self, worker_gradients: list[np.ndarray], ctx: SimContext, ledger
     ) -> AggregationResult:
-        n = ctx.world_size
-        bits = self.wire_bits_for(n)
-
-        sign_seconds = ctx.kernels.quantize_time(d, 1)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:sign", sign_seconds)
         signs = [np.sign(g).astype(np.float64) for g in worker_gradients]
-
-        vote_reduce = ctx.backend.allreduce(
-            signs, wire_bits_per_value=float(bits), op=SumOp()
-        )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:vote_allreduce", vote_reduce.cost.seconds
-        )
+        vote_reduce = ledger.allreduce("vote_allreduce", signs, op=SumOp())
         majority = np.sign(np.asarray(vote_reduce.aggregate))
 
-        communication_seconds = vote_reduce.cost.seconds
         magnitude = 1.0
         if self.scale_by_mean_magnitude:
             per_worker_magnitude = [
                 np.array([float(np.mean(np.abs(g)))]) for g in worker_gradients
             ]
-            magnitude_reduce = ctx.backend.allreduce(
-                per_worker_magnitude, wire_bits_per_value=32.0, op=MeanOp()
+            magnitude_reduce = ledger.allreduce(
+                "magnitude_allreduce", per_worker_magnitude, op=MeanOp()
             )
             magnitude = float(np.asarray(magnitude_reduce.aggregate)[0])
-            communication_seconds += magnitude_reduce.cost.seconds
-            ctx.add_time(
-                PHASE_COMMUNICATION,
-                f"{self.name}:magnitude_allreduce",
-                magnitude_reduce.cost.seconds,
-            )
 
-        unsign_seconds = ctx.kernels.quantize_time(d, 1)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:apply_sign", unsign_seconds)
         mean = (majority * magnitude).astype(np.float32)
-
         transmitted = [(s * magnitude).astype(np.float32) for s in signs]
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=float(bits),
-            per_worker_transmitted=transmitted,
-            communication_seconds=communication_seconds,
-            compression_seconds=sign_seconds + unsign_seconds,
-        )
+        return ledger.result(mean, transmitted)

@@ -28,7 +28,8 @@ from repro.collectives.ops import MaxOp, SaturatingSumOp, SumOp
 from repro.compression.base import (
     AggregationResult,
     AggregationScheme,
-    CostEstimate,
+    Exchange,
+    Kernel,
     SimContext,
 )
 from repro.compression.hadamard import (
@@ -45,11 +46,6 @@ from repro.compression.kernels import (
 )
 from repro.compression.quantization import StochasticQuantizer
 from repro.compression.spec import Param, register
-from repro.simulator.timeline import (
-    PHASE_COMMUNICATION,
-    PHASE_COMPRESSION,
-    PHASE_DECOMPRESSION,
-)
 
 
 class RotationMode(enum.Enum):
@@ -64,9 +60,9 @@ class AggregationMode(enum.Enum):
     """How integer payloads are protected against overflow during all-reduce.
 
     The mode determines the whole aggregation surface -- which collective
-    carries the integers, which per-hop operator combines them, and which
-    cost-model schedule prices the transfer -- so those mappings live here,
-    shared by every integer-quantizing scheme (THC, QSGD).
+    carries (and so prices) the integers and which per-hop operator combines
+    them -- so those mappings live here, shared by every integer-quantizing
+    scheme (THC, QSGD).
     """
 
     #: Widen the wire format to ``b > q`` bits (THC's simple adaptation).
@@ -89,12 +85,6 @@ class AggregationMode(enum.Enum):
         if self is AggregationMode.WIDENED:
             return SumOp()
         return SaturatingSumOp(bits=wire_bits)
-
-    def price(self, cost_model):
-        """The cost-model pricing method for this mode's collective."""
-        if self is AggregationMode.SWITCH:
-            return cost_model.switch_aggregation
-        return cost_model.ring_allreduce
 
 
 @register(
@@ -160,12 +150,7 @@ class THCCompressor(AggregationScheme):
     def _make_rotation(self, ctx: SimContext) -> HadamardRotation | None:
         if self.rotation is RotationMode.NONE:
             return None
-        depth = None
-        if self.rotation is RotationMode.PARTIAL:
-            depth = depth_for_shared_memory(
-                ctx.kernels.gpu.memory.shared_memory_bytes, bytes_per_value=4
-            )
-        return HadamardRotation(seed=self.rotation_seed, depth=depth)
+        return HadamardRotation(seed=self.rotation_seed, depth=self._depth(ctx))
 
     def _chunk_ranges(
         self, rotated: np.ndarray, chunk_elements: int
@@ -176,57 +161,44 @@ class THCCompressor(AggregationScheme):
         shaped = np.abs(rotated.reshape(num_chunks, chunk_elements))
         return shaped.max(axis=1)
 
-    def estimate_costs(self, num_coordinates: int, ctx: SimContext) -> CostEstimate:
-        if num_coordinates <= 0:
-            raise ValueError("num_coordinates must be positive")
-        compression = ctx.kernels.quantize_time(
-            num_coordinates, self.quantization_bits
-        ) + ctx.kernels.dequantize_time(num_coordinates, self.quantization_bits)
-
-        if self.rotation is RotationMode.NONE:
-            num_range_values = 1
-        else:
-            if self.rotation is RotationMode.PARTIAL:
-                depth = depth_for_shared_memory(
-                    ctx.kernels.gpu.memory.shared_memory_bytes, bytes_per_value=4
-                )
-            else:
-                depth = None
-            rotate = ctx.kernels.hadamard_time(num_coordinates, depth)
-            compression += 2 * rotate  # forward on the gradient, inverse on the aggregate
-            chunk_elements = (
-                1 << depth if depth is not None else num_coordinates
+    def _depth(self, ctx: SimContext) -> int | None:
+        """Rotation depth: the shared-memory depth (partial) or None (full)."""
+        if self.rotation is RotationMode.PARTIAL:
+            return depth_for_shared_memory(
+                ctx.kernels.gpu.memory.shared_memory_bytes, bytes_per_value=4
             )
-            num_range_values = max(1, -(-num_coordinates // chunk_elements))
+        return None
 
-        price = self.aggregation.price(ctx.backend.cost_model)
-        range_stage = price(num_range_values * 16.0)
-        value_stage = price(num_coordinates * float(self.wire_bits))
-        return CostEstimate(
-            compression_seconds=compression,
-            communication_seconds=range_stage.seconds + value_stage.seconds,
-            bits_per_coordinate=float(self.wire_bits),
+    def protocol(self, num_coordinates: int, ctx: SimContext):
+        name = self.name
+        collective = self.aggregation.collective()
+        if self.rotation is RotationMode.NONE:
+            rotate, num_ranges = None, 1
+        else:
+            depth = self._depth(ctx)
+            rotate = ctx.kernels.hadamard_time(num_coordinates, depth)
+            chunk_elements = 1 << depth if depth is not None else num_coordinates
+            num_ranges = max(1, -(-num_coordinates // chunk_elements))
+        stages = (
+            Exchange(f"{name}:range_allreduce", collective, num_ranges, 16.0),
+            Kernel.compress(
+                f"{name}:quantize",
+                ctx.kernels.quantize_time(num_coordinates, self.quantization_bits),
+            ),
+            Exchange(f"{name}:int_allreduce", collective, num_coordinates, float(self.wire_bits)),
+            Kernel.decompress(
+                f"{name}:dequantize",
+                ctx.kernels.dequantize_time(num_coordinates, self.quantization_bits),
+            ),
         )
-
-    # ------------------------------------------------------------------ #
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
-    # RPL006: the uniform near-equal coordinate split of the base
-    # implementation is the right bucket pricing here (no layer
-    # structure to respect), so the inheritance is stated explicitly.
-    estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
-
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
+        if rotate is None:
+            return stages
+        # Forward rotation on the gradient, inverse on the aggregate.
+        return (
+            Kernel.compress(f"{name}:rotate", rotate),
+            *stages,
+            Kernel.decompress(f"{name}:unrotate", rotate),
+        )
 
     def _wire_headroom(self, world_size: int) -> int:
         """Largest magnitude the integer wire buffer must represent.
@@ -239,9 +211,7 @@ class THCCompressor(AggregationScheme):
             return world_size * self.quantizer.max_level
         return 2 * ((1 << (self.wire_bits - 1)) - 1)
 
-    def _aggregate_batched(
-        self, rows, ctx: SimContext, d: int
-    ) -> AggregationResult:
+    def _aggregate_batched(self, rows, ctx: SimContext, ledger) -> AggregationResult:
         """One fused float32 pass over the stacked ``(n, d)`` worker matrix.
 
         Same protocol, timeline labels, and priced costs as the legacy path;
@@ -249,7 +219,7 @@ class THCCompressor(AggregationScheme):
         folded into the quantization scales) and the integer payloads travel
         in the narrowest dtype that cannot overflow the fold.
         """
-        n = ctx.world_size
+        n, d = ctx.world_size, ledger.num_coordinates
         workspace = ctx.workspace
         rotation = self._make_rotation(ctx)
         padded_size = padded_size_for(d)
@@ -257,9 +227,6 @@ class THCCompressor(AggregationScheme):
         self._gather_rows(rows, wire, columns=d)
         if padded_size > d:
             wire[:, d:] = 0.0
-
-        compression_seconds = 0.0
-        communication_seconds = 0.0
 
         # --- Rotation (unnormalized; one matmul chain for all workers) ----- #
         if rotation is None:
@@ -271,9 +238,6 @@ class THCCompressor(AggregationScheme):
             chunk_elements = rotation.chunk_elements(padded_size)
             wire *= rotation.signs(padded_size, np.float32)
             work = fwht_rows(wire, depth, workspace=workspace, label="thc")
-            rotate_seconds = ctx.kernels.hadamard_time(d, depth)
-            compression_seconds += rotate_seconds
-            ctx.add_time(PHASE_COMPRESSION, f"{self.name}:rotate", rotate_seconds)
         normalization = np.float32(fwht_normalization(depth))
         num_chunks = padded_size // chunk_elements
         chunked = work.reshape(n, num_chunks, chunk_elements)
@@ -283,23 +247,12 @@ class THCCompressor(AggregationScheme):
         # scale-equivariant, so the unnormalized units cancel in the ratio
         # used for quantization below.
         per_worker_ranges = np.maximum(chunked.max(axis=2), -chunked.min(axis=2))
-        range_reduce = ctx.backend.allreduce_matrix(
-            per_worker_ranges,
-            wire_bits_per_value=16.0,
-            op=MaxOp(),
-            collective=self.aggregation.collective(),
+        range_reduce = ledger.allreduce_matrix(
+            "range_allreduce", per_worker_ranges, op=MaxOp()
         )
         shared_ranges = np.asarray(range_reduce.aggregate)
-        communication_seconds += range_reduce.cost.seconds
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:range_allreduce", range_reduce.cost.seconds
-        )
 
         # --- Quantize (fused stochastic rounding over the whole matrix) --- #
-        quantize_seconds = ctx.kernels.quantize_time(d, self.quantization_bits)
-        compression_seconds += quantize_seconds
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:quantize", quantize_seconds)
-
         max_level = float(self.quantizer.max_level)
         inverse_scale = np.zeros(num_chunks, dtype=np.float32)
         np.divide(
@@ -322,22 +275,12 @@ class THCCompressor(AggregationScheme):
         np.copyto(levels, floors, casting="unsafe")
 
         # --- Integer all-reduce (host rings or in-network switches) -------- #
-        op = self.aggregation.reduce_op(self.wire_bits)
-        reduce_result = ctx.backend.allreduce_matrix(
-            levels,
-            wire_bits_per_value=float(self.wire_bits),
-            op=op,
-            collective=self.aggregation.collective(),
-        )
-        communication_seconds += reduce_result.cost.seconds
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:int_allreduce", reduce_result.cost.seconds
+        reduce_result = ledger.allreduce_matrix(
+            "int_allreduce", levels, op=self.aggregation.reduce_op(self.wire_bits)
         )
         aggregated_levels = np.asarray(reduce_result.aggregate)
 
         # --- Dequantize and un-rotate -------------------------------------- #
-        dequantize_seconds = ctx.kernels.dequantize_time(d, self.quantization_bits)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:dequantize", dequantize_seconds)
         # True-unit quantization step per chunk (normalization folded back in).
         scales = (shared_ranges * (normalization / max_level)).astype(np.float32)
         mean_rotated = aggregated_levels.astype(np.float32)
@@ -347,9 +290,6 @@ class THCCompressor(AggregationScheme):
         if rotation is None:
             mean = np.array(mean_rotated[:d], copy=True)
         else:
-            unrotate_seconds = ctx.kernels.hadamard_time(d, depth)
-            ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:unrotate", unrotate_seconds)
-            dequantize_seconds += unrotate_seconds
             unrotated = fwht_rows(
                 mean_rotated.reshape(1, padded_size),
                 depth,
@@ -379,22 +319,13 @@ class THCCompressor(AggregationScheme):
                 dense *= sign_vector
             return np.ascontiguousarray(dense[:, :d])
 
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=float(self.wire_bits),
-            per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
-            communication_seconds=communication_seconds,
-            compression_seconds=compression_seconds + dequantize_seconds,
-        )
+        return ledger.result(mean, LazyTransmitted(n, materialize_transmitted))
 
     def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
+        self, worker_gradients: list[np.ndarray], ctx: SimContext, ledger
     ) -> AggregationResult:
-        n = ctx.world_size
+        n, d = ctx.world_size, ledger.num_coordinates
         rotation = self._make_rotation(ctx)
-
-        compression_seconds = 0.0
-        communication_seconds = 0.0
 
         # --- Rotation ------------------------------------------------------ #
         if rotation is None:
@@ -408,10 +339,6 @@ class THCCompressor(AggregationScheme):
                 rotated_vectors.append(rotated)
             padded_size = rotated_vectors[0].size
             chunk_elements = rotation.chunk_elements(padded_size)
-            depth = rotation.effective_depth(padded_size)
-            rotate_seconds = ctx.kernels.hadamard_time(d, depth)
-            compression_seconds += rotate_seconds
-            ctx.add_time(PHASE_COMPRESSION, f"{self.name}:rotate", rotate_seconds)
 
         # --- Agree on a per-chunk quantization range ------------------------ #
         # Workers all-reduce (max) the per-chunk magnitude so everyone
@@ -420,23 +347,10 @@ class THCCompressor(AggregationScheme):
         per_worker_ranges = [
             self._chunk_ranges(rot, chunk_elements) for rot in rotated_vectors
         ]
-        range_reduce = ctx.backend.allreduce(
-            per_worker_ranges,
-            wire_bits_per_value=16.0,
-            op=MaxOp(),
-            collective=self.aggregation.collective(),
-        )
+        range_reduce = ledger.allreduce("range_allreduce", per_worker_ranges, op=MaxOp())
         shared_ranges = np.asarray(range_reduce.aggregate)
-        communication_seconds += range_reduce.cost.seconds
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:range_allreduce", range_reduce.cost.seconds
-        )
 
         # --- Quantize ------------------------------------------------------- #
-        quantize_seconds = ctx.kernels.quantize_time(d, self.quantization_bits)
-        compression_seconds += quantize_seconds
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:quantize", quantize_seconds)
-
         scales = np.repeat(
             shared_ranges / self.quantizer.max_level, chunk_elements
         )
@@ -459,32 +373,19 @@ class THCCompressor(AggregationScheme):
             level_vectors.append(levels)
 
         # --- Integer all-reduce (host rings or in-network switches) --------- #
-        op = self.aggregation.reduce_op(self.wire_bits)
-        reduce_result = ctx.backend.allreduce(
+        reduce_result = ledger.allreduce(
+            "int_allreduce",
             [levels.astype(np.float64) for levels in level_vectors],
-            wire_bits_per_value=float(self.wire_bits),
-            op=op,
-            collective=self.aggregation.collective(),
-        )
-        communication_seconds += reduce_result.cost.seconds
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:int_allreduce", reduce_result.cost.seconds
+            op=self.aggregation.reduce_op(self.wire_bits),
         )
         aggregated_levels = np.asarray(reduce_result.aggregate, dtype=np.float64)
 
         # --- Dequantize and un-rotate --------------------------------------- #
-        dequantize_seconds = ctx.kernels.dequantize_time(d, self.quantization_bits)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:dequantize", dequantize_seconds)
         rotated_mean = aggregated_levels * scales / n
 
         if rotation is None:
             mean = rotated_mean[:d].astype(np.float32)
         else:
-            unrotate_seconds = ctx.kernels.hadamard_time(
-                d, rotation.effective_depth(padded_size)
-            )
-            ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:unrotate", unrotate_seconds)
-            dequantize_seconds += unrotate_seconds
             mean = rotation.inverse(rotated_mean, d).astype(np.float32)
 
         # Per-worker transmitted contribution (for error feedback): each
@@ -502,13 +403,7 @@ class THCCompressor(AggregationScheme):
                     transmitted.append(rotation.inverse(own_rotated, d).astype(np.float32))
             return np.stack(transmitted)
 
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=float(self.wire_bits),
-            per_worker_transmitted=LazyTransmitted(n, materialize_transmitted),
-            communication_seconds=communication_seconds,
-            compression_seconds=compression_seconds + dequantize_seconds,
-        )
+        return ledger.result(mean, LazyTransmitted(n, materialize_transmitted))
 
     def saturation_probability(
         self, worker_gradients: list[np.ndarray], ctx: SimContext

@@ -16,24 +16,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.collectives.api import Collective
 from repro.compression.base import (
     AggregationResult,
     AggregationScheme,
-    CostEstimate,
+    Exchange,
+    Kernel,
     SimContext,
 )
 from repro.compression.spec import Param, register
-from repro.simulator.timeline import (
-    PHASE_COMMUNICATION,
-    PHASE_COMPRESSION,
-    PHASE_DECOMPRESSION,
-)
 
 #: Wire width of one transmitted coordinate index.
 INDEX_BITS = 32.0
 
 #: Wire width of one transmitted FP16 coordinate value.
 VALUE_BITS = 16.0
+
+#: Wire sections of one gathered payload: 32-bit indices next to FP16 values.
+SECTION_BITS = (INDEX_BITS, VALUE_BITS)
 
 #: Bits transmitted per selected coordinate: FP16 value + 32-bit index.
 BITS_PER_SELECTED_COORDINATE = INDEX_BITS + VALUE_BITS
@@ -114,48 +114,26 @@ class TopKCompressor(AggregationScheme):
         k = self.select_k(num_coordinates)
         return BITS_PER_SELECTED_COORDINATE * k / num_coordinates
 
-    def estimate_costs(self, num_coordinates: int, ctx: SimContext) -> CostEstimate:
-        if num_coordinates <= 0:
-            raise ValueError("num_coordinates must be positive")
+    def protocol(self, num_coordinates: int, ctx: SimContext):
+        name = self.name
         n = ctx.world_size
         k = self.select_k(num_coordinates)
-        compression = (
-            ctx.kernels.topk_select_time(num_coordinates, k)
-            + ctx.kernels.rearrangement_time(k)
-            + n * ctx.kernels.scatter_time(k)
-            + (n - 1) * ctx.kernels.elementwise_sum_time(num_coordinates)
+        return (
+            Kernel.compress(f"{name}:select", ctx.kernels.topk_select_time(num_coordinates, k)),
+            Kernel.compress(f"{name}:pack", ctx.kernels.rearrangement_time(k)),
+            # Indices and values travel as two sections of one payload,
+            # gathered (and priced) as a single 48k-bit all-gather.
+            Exchange(f"{name}:allgather", Collective.ALLGATHER, k, BITS_PER_SELECTED_COORDINATE),
+            # Every worker scatters all n payloads into dense vectors and sums.
+            Kernel.decompress(f"{name}:scatter", n * ctx.kernels.scatter_time(k)),
+            Kernel.decompress(
+                f"{name}:sum", (n - 1) * ctx.kernels.elementwise_sum_time(num_coordinates)
+            ),
         )
-        payload_bits = k * BITS_PER_SELECTED_COORDINATE
-        communication = ctx.backend.cost_model.allgather(payload_bits).seconds
-        return CostEstimate(
-            compression_seconds=compression,
-            communication_seconds=communication,
-            bits_per_coordinate=self.expected_bits_per_coordinate(num_coordinates, n),
-        )
 
-    # ------------------------------------------------------------------ #
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
-    # RPL006: the uniform near-equal coordinate split of the base
-    # implementation is the right bucket pricing here (no layer
-    # structure to respect), so the inheritance is stated explicitly.
-    estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
-
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
-
-    def _aggregate_batched(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+    def _aggregate_batched(self, rows, ctx: SimContext, ledger) -> AggregationResult:
         """One axis-wise top-k selection and scatter over the worker matrix."""
-        n = ctx.world_size
+        n, d = ctx.world_size, ledger.num_coordinates
         k = self.select_k(d)
         workspace = ctx.workspace
 
@@ -169,24 +147,9 @@ class TopKCompressor(AggregationScheme):
             indices = np.tile(np.arange(d, dtype=np.int64), (n, 1))
         values = np.take_along_axis(work, indices, axis=1).astype(self.value_dtype)
 
-        select_seconds = ctx.kernels.topk_select_time(d, k)
-        pack_seconds = ctx.kernels.rearrangement_time(k)
-        compression_seconds = select_seconds + pack_seconds
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:select", select_seconds)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:pack", pack_seconds)
-
         # All-gather of the packed (index, value) payloads: every worker ends
-        # up with all rows, which the stacked matrix already is; the transfer
-        # is priced exactly as the legacy path's payload list.
-        payload_bits = 2 * k * (BITS_PER_SELECTED_COORDINATE / 2.0)
-        gather_cost = ctx.backend.cost_model.allgather(payload_bits)
-        ctx.add_time(PHASE_COMMUNICATION, f"{self.name}:allgather", gather_cost.seconds)
-
-        scatter_seconds = n * ctx.kernels.scatter_time(k)
-        sum_seconds = (n - 1) * ctx.kernels.elementwise_sum_time(d)
-        decompression_seconds = scatter_seconds + sum_seconds
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:scatter", scatter_seconds)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:sum", sum_seconds)
+        # up with all rows, which the stacked matrix already is.
+        ledger.ship("allgather", k)
 
         dense = np.zeros((n, d), dtype=np.float32)
         np.put_along_axis(dense, indices, values.astype(np.float32), axis=1)
@@ -194,45 +157,18 @@ class TopKCompressor(AggregationScheme):
         for worker in range(1, n):
             total += dense[worker]
         mean = total / n
-
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=list(dense),
-            communication_seconds=gather_cost.seconds,
-            compression_seconds=compression_seconds + decompression_seconds,
-        )
+        return ledger.result(mean, list(dense))
 
     def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
+        self, worker_gradients: list[np.ndarray], ctx: SimContext, ledger
     ) -> AggregationResult:
-        n = ctx.world_size
-        k = self.select_k(d)
-
+        n, d = ctx.world_size, ledger.num_coordinates
         compressed = [self.compress(g) for g in worker_gradients]
-
-        # Compression kernels: top-k selection + packing of (value, index) pairs.
-        select_seconds = ctx.kernels.topk_select_time(d, k)
-        pack_seconds = ctx.kernels.rearrangement_time(k)
-        compression_seconds = select_seconds + pack_seconds
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:select", select_seconds)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:pack", pack_seconds)
-
-        # All-gather of the packed payloads: indices and values travel as two
-        # sections of one payload (32-bit indices next to FP16 values), priced
-        # as a single gather of the combined 48k-bit volume.
-        gather = ctx.backend.allgather_sections(
+        gather = ledger.allgather_sections(
+            "allgather",
             [(idx, val.astype(np.float64)) for idx, val in compressed],
-            wire_bits_per_section=(INDEX_BITS, VALUE_BITS),
+            SECTION_BITS,
         )
-        ctx.add_time(PHASE_COMMUNICATION, f"{self.name}:allgather", gather.cost.seconds)
-
-        # Every worker scatters all n payloads into dense vectors and sums.
-        scatter_seconds = n * ctx.kernels.scatter_time(k)
-        sum_seconds = (n - 1) * ctx.kernels.elementwise_sum_time(d)
-        decompression_seconds = scatter_seconds + sum_seconds
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:scatter", scatter_seconds)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:sum", sum_seconds)
 
         # Aggregation consumes the *gathered* payloads -- what the collective
         # actually delivered -- not the local compression state, so the same
@@ -245,14 +181,7 @@ class TopKCompressor(AggregationScheme):
         for dense in transmitted:
             total += dense
         mean = total / n
-
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=transmitted,
-            communication_seconds=gather.cost.seconds,
-            compression_seconds=compression_seconds + decompression_seconds,
-        )
+        return ledger.result(mean, transmitted)
 
 
 class GlobalTopKOracle(AggregationScheme):
@@ -273,38 +202,22 @@ class GlobalTopKOracle(AggregationScheme):
         k = k_for_bits_per_coordinate(self.bits_per_coordinate, num_coordinates)
         return BITS_PER_SELECTED_COORDINATE * k / num_coordinates
 
-    def estimate_costs(self, num_coordinates: int, ctx: SimContext) -> CostEstimate:
+    def protocol(self, num_coordinates: int, ctx: SimContext):
         """The oracle is not a protocol; it is priced as free communication."""
-        if num_coordinates <= 0:
-            raise ValueError("num_coordinates must be positive")
-        return CostEstimate(
-            compression_seconds=0.0,
-            communication_seconds=0.0,
-            bits_per_coordinate=self.expected_bits_per_coordinate(
-                num_coordinates, ctx.world_size
-            ),
-        )
+        return ()
 
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        n = ctx.world_size
+    def _aggregate_batched(self, rows, ctx: SimContext, ledger) -> AggregationResult:
+        d = ledger.num_coordinates
         k = k_for_bits_per_coordinate(self.bits_per_coordinate, d)
 
-        true_mean = np.mean(np.stack(worker_gradients), axis=0)
+        true_mean = np.mean(np.stack(rows), axis=0)
         indices = topk_indices(true_mean, k)
         mean = np.zeros(d, dtype=np.float32)
         mean[indices] = true_mean[indices]
 
         transmitted = []
-        for grad in worker_gradients:
+        for grad in rows:
             dense = np.zeros(d, dtype=np.float32)
             dense[indices] = grad[indices]
             transmitted.append(dense)
-
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=transmitted,
-        )
+        return ledger.result(mean, transmitted)

@@ -26,19 +26,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.collectives.api import Collective
 from repro.collectives.ops import SumOp
 from repro.compression.base import (
     AggregationResult,
     AggregationScheme,
-    CostEstimate,
+    Exchange,
+    Kernel,
     SimContext,
 )
 from repro.compression.spec import Param, register
-from repro.simulator.timeline import (
-    PHASE_COMMUNICATION,
-    PHASE_COMPRESSION,
-    PHASE_DECOMPRESSION,
-)
 
 #: Wire width of the chunk-norm consensus stage and of the value stage (FP16).
 STAGE_BITS = 16.0
@@ -178,48 +175,26 @@ class TopKChunkedCompressor(AggregationScheme):
         top = np.argpartition(norms, -j)[-j:] if j < norms.size else np.arange(norms.size)
         return np.sort(top), norms
 
-    def estimate_costs(self, num_coordinates: int, ctx: SimContext) -> CostEstimate:
-        if num_coordinates <= 0:
-            raise ValueError("num_coordinates must be positive")
+    def protocol(self, num_coordinates: int, ctx: SimContext):
+        name = self.name
         num_chunks = self.num_chunks(num_coordinates)
-        j = self.num_top_chunks(num_coordinates)
         selected = self.selected_coordinates(num_coordinates)
-        compression = (
-            ctx.kernels.chunk_norm_time(num_coordinates, self.chunk_size)
-            + ctx.kernels.topk_select_time(num_chunks, j)
-            + 2 * ctx.kernels.chunk_gather_time(selected)
-        )
-        norm_stage = ctx.backend.cost_model.ring_allreduce(num_chunks * STAGE_BITS)
-        value_stage = ctx.backend.cost_model.ring_allreduce(selected * STAGE_BITS)
-        return CostEstimate(
-            compression_seconds=compression,
-            communication_seconds=norm_stage.seconds + value_stage.seconds,
-            bits_per_coordinate=self.expected_bits_per_coordinate(
-                num_coordinates, ctx.world_size
+        gather = ctx.kernels.chunk_gather_time(selected)
+        return (
+            Kernel.compress(
+                f"{name}:chunk_norms", ctx.kernels.chunk_norm_time(num_coordinates, self.chunk_size)
             ),
+            Exchange(f"{name}:norm_allreduce", Collective.RING_ALLREDUCE, num_chunks, STAGE_BITS),
+            Kernel.compress(
+                f"{name}:chunk_select",
+                ctx.kernels.topk_select_time(num_chunks, self.num_top_chunks(num_coordinates)),
+            ),
+            Kernel.compress(f"{name}:chunk_gather", gather),
+            Exchange(f"{name}:value_allreduce", Collective.RING_ALLREDUCE, selected, STAGE_BITS),
+            Kernel.decompress(f"{name}:scatter", gather),
         )
 
-    # ------------------------------------------------------------------ #
-    def aggregate(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext
-    ) -> AggregationResult:
-        d, _ = self._validate_gradients(worker_gradients, ctx.world_size)
-        if ctx.batched:
-            return self._aggregate_batched(worker_gradients, ctx, d)
-        return self._aggregate_legacy(worker_gradients, ctx, d)
-
-    # RPL006: the uniform near-equal coordinate split of the base
-    # implementation is the right bucket pricing here (no layer
-    # structure to respect), so the inheritance is stated explicitly.
-    estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
-
-    def aggregate_matrix(
-        self, matrix: np.ndarray, ctx: SimContext
-    ) -> AggregationResult:
-        _, d = self._validate_matrix(matrix, ctx.world_size)
-        return self._aggregate_batched(matrix, ctx, d)
-
-    def _aggregate_batched(self, rows, ctx: SimContext, d: int) -> AggregationResult:
+    def _aggregate_batched(self, rows, ctx: SimContext, ledger) -> AggregationResult:
         """Vectorized chunk-norm consensus over the stacked worker matrix.
 
         Chunk norms are computed in float64 (as the legacy path does) so the
@@ -227,7 +202,7 @@ class TopKChunkedCompressor(AggregationScheme):
         bit-identical to the per-worker path; the heavy value stage runs in
         float32.
         """
-        n = ctx.world_size
+        n, d = ctx.world_size, ledger.num_coordinates
         chunk = self.chunk_size
         num_chunks = self.num_chunks(d)
         j = self.num_top_chunks(d)
@@ -243,9 +218,6 @@ class TopKChunkedCompressor(AggregationScheme):
             inverse = None
 
         # --- Stage 1: chunk-norm consensus ------------------------------- #
-        norm_compute = ctx.kernels.chunk_norm_time(d, chunk)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:chunk_norms", norm_compute)
-
         padded = workspace.buf("topkc.padded", (n, num_chunks * chunk), np.float64)
         padded[:, :d] = work
         if padded.shape[1] > d:
@@ -253,16 +225,8 @@ class TopKChunkedCompressor(AggregationScheme):
         np.square(padded, out=padded)
         norms = padded.reshape(n, num_chunks, chunk).sum(axis=2)
         per_worker_norms = _as_fp16(norms).astype(np.float32)
-        norm_reduce = ctx.backend.allreduce_matrix(
-            per_worker_norms, wire_bits_per_value=STAGE_BITS, op=SumOp()
-        )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:norm_allreduce", norm_reduce.cost.seconds
-        )
+        norm_reduce = ledger.allreduce_matrix("norm_allreduce", per_worker_norms, op=SumOp())
         summed_norms = np.asarray(norm_reduce.aggregate)
-
-        select_seconds = ctx.kernels.topk_select_time(num_chunks, j)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:chunk_select", select_seconds)
         if j < summed_norms.size:
             top_chunks = np.sort(np.argpartition(summed_norms, -j)[-j:])
         else:
@@ -275,19 +239,8 @@ class TopKChunkedCompressor(AggregationScheme):
         selected_mask = selected_mask[:d]
         selected_indices = np.flatnonzero(selected_mask)
 
-        gather_seconds = ctx.kernels.chunk_gather_time(selected_indices.size)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:chunk_gather", gather_seconds)
-
         payload = work[:, selected_indices].astype(np.float16).astype(np.float32)
-        value_reduce = ctx.backend.allreduce_matrix(
-            payload, wire_bits_per_value=STAGE_BITS, op=SumOp()
-        )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:value_allreduce", value_reduce.cost.seconds
-        )
-
-        scatter_seconds = ctx.kernels.chunk_gather_time(selected_indices.size)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:scatter", scatter_seconds)
+        value_reduce = ledger.allreduce_matrix("value_allreduce", payload, op=SumOp())
 
         mean_permuted = np.zeros(d, dtype=np.float32)
         mean_permuted[selected_indices] = np.asarray(value_reduce.aggregate) / n
@@ -301,23 +254,12 @@ class TopKChunkedCompressor(AggregationScheme):
         else:
             mean = mean_permuted
             transmitted = list(transmitted_permuted)
-
-        communication_seconds = norm_reduce.cost.seconds + value_reduce.cost.seconds
-        compression_seconds = (
-            norm_compute + select_seconds + gather_seconds + scatter_seconds
-        )
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=transmitted,
-            communication_seconds=communication_seconds,
-            compression_seconds=compression_seconds,
-        )
+        return ledger.result(mean, transmitted)
 
     def _aggregate_legacy(
-        self, worker_gradients: list[np.ndarray], ctx: SimContext, d: int
+        self, worker_gradients: list[np.ndarray], ctx: SimContext, ledger
     ) -> AggregationResult:
-        n = ctx.world_size
+        n, d = ctx.world_size, ledger.num_coordinates
         chunk = self.chunk_size
         num_chunks = self.num_chunks(d)
         j = self.num_top_chunks(d)
@@ -331,23 +273,13 @@ class TopKChunkedCompressor(AggregationScheme):
             work_vectors = worker_gradients
 
         # --- Stage 1: chunk-norm consensus ------------------------------- #
-        norm_compute = ctx.kernels.chunk_norm_time(d, chunk)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:chunk_norms", norm_compute)
-
         per_worker_norms = [
             _as_fp16(self._chunk_norms(v)).astype(np.float32) for v in work_vectors
         ]
-        norm_reduce = ctx.backend.allreduce(
-            per_worker_norms, wire_bits_per_value=STAGE_BITS, op=SumOp()
-        )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:norm_allreduce", norm_reduce.cost.seconds
-        )
+        norm_reduce = ledger.allreduce("norm_allreduce", per_worker_norms, op=SumOp())
         summed_norms = np.asarray(norm_reduce.aggregate)
 
         # Cheap top-k over d / C chunk norms (both select cost and consensus).
-        select_seconds = ctx.kernels.topk_select_time(num_chunks, j)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:chunk_select", select_seconds)
         if j < summed_norms.size:
             top_chunks = np.sort(np.argpartition(summed_norms, -j)[-j:])
         else:
@@ -360,21 +292,10 @@ class TopKChunkedCompressor(AggregationScheme):
         selected_mask = selected_mask[:d]
         selected_indices = np.flatnonzero(selected_mask)
 
-        gather_seconds = ctx.kernels.chunk_gather_time(selected_indices.size)
-        ctx.add_time(PHASE_COMPRESSION, f"{self.name}:chunk_gather", gather_seconds)
-
         selected_payloads = [
             v[selected_indices].astype(np.float16).astype(np.float32) for v in work_vectors
         ]
-        value_reduce = ctx.backend.allreduce(
-            selected_payloads, wire_bits_per_value=STAGE_BITS, op=SumOp()
-        )
-        ctx.add_time(
-            PHASE_COMMUNICATION, f"{self.name}:value_allreduce", value_reduce.cost.seconds
-        )
-
-        scatter_seconds = ctx.kernels.chunk_gather_time(selected_indices.size)
-        ctx.add_time(PHASE_DECOMPRESSION, f"{self.name}:scatter", scatter_seconds)
+        value_reduce = ledger.allreduce("value_allreduce", selected_payloads, op=SumOp())
 
         mean_permuted = np.zeros(d, dtype=np.float32)
         mean_permuted[selected_indices] = np.asarray(value_reduce.aggregate) / n
@@ -391,18 +312,7 @@ class TopKChunkedCompressor(AggregationScheme):
         else:
             mean = mean_permuted
             transmitted = transmitted_permuted
-
-        communication_seconds = norm_reduce.cost.seconds + value_reduce.cost.seconds
-        compression_seconds = (
-            norm_compute + select_seconds + gather_seconds + scatter_seconds
-        )
-        return AggregationResult(
-            mean_estimate=mean,
-            bits_per_coordinate=self.expected_bits_per_coordinate(d, n),
-            per_worker_transmitted=transmitted,
-            communication_seconds=communication_seconds,
-            compression_seconds=compression_seconds,
-        )
+        return ledger.result(mean, transmitted)
 
 
 def _validate_geometry(num_coordinates: int, chunk_size: int) -> None:

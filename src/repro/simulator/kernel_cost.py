@@ -172,11 +172,18 @@ class KernelCostModel:
         :meth:`orthogonalization_time`), which the paper's profiling shows
         dominating the round at r = 64.
         """
+        matmuls, orthogonalization = self.powersgd_stage_times(d, rank, rows=rows)
+        return matmuls + orthogonalization
+
+    def powersgd_stage_times(
+        self, d: int, rank: int, *, rows: int | None = None
+    ) -> tuple[float, float]:
+        """:meth:`powersgd_time` split into ``(matmuls, orthogonalization)``."""
         _validate_sizes(d=d)
         if rank <= 0:
             raise ValueError("rank must be positive")
         if d == 0:
-            return 0.0
+            return 0.0, 0.0
         m = rows if rows is not None else max(1, int(math.sqrt(d)))
         if m <= 0:
             raise ValueError("rows must be positive")
@@ -185,7 +192,7 @@ class KernelCostModel:
         matmul = 2 * self.gpu.kernel_launch_overhead_s + self.gpu.compute_time(
             matmul_flops, Precision.FP16
         )
-        return matmul + self.orthogonalization_time(d, rank, rows=rows)
+        return matmul, self.orthogonalization_time(d, rank, rows=rows)
 
     def orthogonalization_time(self, d: int, rank: int, *, rows: int | None = None) -> float:
         """Time of the Gram-Schmidt orthogonalization of an (m x rank) factor.

@@ -1,5 +1,5 @@
-"""Deliberate RPL006 violation: a registered scheme missing the hot-path
-contract (it would silently fall back to the base implementations)."""
+"""Deliberate RPL006 violation: a registered scheme missing the contract
+(no protocol to price it from, no batched kernel for the base dispatch)."""
 
 from repro.compression.base import AggregationScheme
 from repro.compression.spec import register

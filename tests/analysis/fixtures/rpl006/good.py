@@ -1,4 +1,4 @@
-"""The clean counterpart: batched path defined, default inheritance stated."""
+"""The clean counterpart: protocol and batched kernel both defined."""
 
 from repro.compression.base import AggregationScheme
 from repro.compression.spec import register
@@ -6,11 +6,8 @@ from repro.compression.spec import register
 
 @register("fixture_scheme")
 class FixtureScheme(AggregationScheme):
-    # Uniform near-equal bucket pricing is correct here; stated explicitly.
-    estimate_bucket_costs = AggregationScheme.estimate_bucket_costs
+    def protocol(self, num_coordinates, ctx):
+        return ()
 
-    def aggregate(self, worker_gradients, ctx):
-        return worker_gradients
-
-    def aggregate_matrix(self, matrix, ctx):
-        return matrix
+    def _aggregate_batched(self, rows, ctx, ledger):
+        return ledger.result(rows[0])

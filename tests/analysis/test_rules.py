@@ -32,7 +32,7 @@ EXPECTED_BAD_FINDINGS = {
     "RPL003": 4,  # display attr, id(), unsorted items(), hash()
     "RPL004": 2,  # lambda to process pool, worker mutating module state
     "RPL005": 3,  # time.sleep, sqlite3.connect, subprocess.run
-    "RPL006": 1,  # one class missing both contract methods
+    "RPL006": 1,  # one class missing protocol and its batched kernel
     "RPL007": 3,  # except-continue, bare except-pass, tuple with Exception
 }
 
@@ -137,16 +137,41 @@ def test_rpl006_explicit_inheritance_satisfies_contract(tmp_path):
     target = tmp_path / "src/repro/compression/custom.py"
     target.parent.mkdir(parents=True)
     target.write_text(
-        "from repro.compression.base import AggregationScheme\n"
         "from repro.compression.spec import register\n"
+        "from repro.compression.thc import THCCompressor\n"
         "@register('x')\n"
-        "class X(AggregationScheme):\n"
-        "    aggregate_matrix = AggregationScheme.aggregate_matrix\n"
-        "    estimate_bucket_costs = AggregationScheme.estimate_bucket_costs\n",
+        "class X(THCCompressor):\n"
+        "    protocol = THCCompressor.protocol\n"
+        "    _aggregate_batched = THCCompressor._aggregate_batched\n",
         encoding="utf-8",
     )
     report = run_analysis(["src"], root=tmp_path, only_rules=["RPL006"])
     assert report.findings == []
+
+
+def test_rpl006_own_aggregate_matrix_is_a_batched_kernel(tmp_path):
+    # Wrappers with their own dispatch (error feedback) bring the batched
+    # kernel as aggregate_matrix; the protocol is still required.
+    target = tmp_path / "src/repro/compression/custom.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(
+        "from repro.compression.base import AggregationScheme\n"
+        "from repro.compression.spec import register\n"
+        "@register('x')\n"
+        "class X(AggregationScheme):\n"
+        "    def protocol(self, num_coordinates, ctx):\n"
+        "        return ()\n"
+        "    def aggregate_matrix(self, matrix, ctx):\n"
+        "        return matrix\n"
+        "@register('y')\n"
+        "class Y(AggregationScheme):\n"
+        "    def aggregate_matrix(self, matrix, ctx):\n"
+        "        return matrix\n",
+        encoding="utf-8",
+    )
+    report = run_analysis(["src"], root=tmp_path, only_rules=["RPL006"])
+    assert [finding.line for finding in report.findings] == [10]  # class Y
+    assert "protocol" in report.findings[0].message
 
 
 def test_rpl001_scope_covers_fleet_paths():

@@ -1,26 +1,21 @@
 """Self-check: reprolint over this repository itself.
 
 This is the test-suite mirror of the CI gate: the real tree must be clean,
-the pass must stay inside its wall-clock budget, and reverting the
-documented RPL006 fix (the explicit ``estimate_bucket_costs`` inheritance
-on the registered schemes) must make the pass fail again -- proving the
-gate actually guards the fix.
+the pass must stay inside its wall-clock budget, and stripping a registered
+scheme's ``protocol`` (the RPL006 registry contract: every family states its
+protocol once) must make the pass fail again -- proving the gate actually
+guards the contract.
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 from repro.analysis import load_config, run_analysis
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SCAN_PATHS = ["src", "tests", "benchmarks", "examples"]
-
-#: The documented RPL006 fix in src/repro/compression/thc.py (and the five
-#: sibling schemes): reverting this line must re-trip the gate.
-EXPLICIT_INHERITANCE = (
-    "estimate_bucket_costs = AggregationScheme.estimate_bucket_costs"
-)
 
 
 def test_repository_is_clean():
@@ -54,19 +49,21 @@ def test_suppressions_are_counted_not_hidden():
 def test_reverting_documented_fix_fails_the_gate(tmp_path):
     source = REPO_ROOT / "src/repro/compression/thc.py"
     text = source.read_text(encoding="utf-8")
-    assert EXPLICIT_INHERITANCE in text  # the fix this PR documents
-
-    reverted = "\n".join(
-        line for line in text.splitlines() if EXPLICIT_INHERITANCE not in line
+    protocol = next(
+        node
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef) and node.name == "protocol"
     )
+    lines = text.splitlines()
+    stripped = lines[: protocol.lineno - 1] + lines[protocol.end_lineno :]
     target = tmp_path / "src/repro/compression/thc.py"
     target.parent.mkdir(parents=True)
-    target.write_text(reverted + "\n", encoding="utf-8")
+    target.write_text("\n".join(stripped) + "\n", encoding="utf-8")
 
     report = run_analysis(["src"], root=tmp_path, only_rules=["RPL006"])
     assert not report.ok
     assert {finding.rule for finding in report.findings} == {"RPL006"}
-    assert any("estimate_bucket_costs" in f.message for f in report.findings)
+    assert any("protocol" in f.message for f in report.findings)
 
 
 def test_fixture_exclusion_is_configured():

@@ -259,14 +259,11 @@ class TestRegisterDecorator:
                 self.k = k
                 self.name = f"testfam_xyz_{k}"
 
-            def aggregate(self, worker_gradients, ctx):  # pragma: no cover
+            def protocol(self, num_coordinates, ctx):  # pragma: no cover
                 raise NotImplementedError
 
             def expected_bits_per_coordinate(self, num_coordinates, world_size):
                 return 1.0
-
-            def estimate_costs(self, num_coordinates, ctx):  # pragma: no cover
-                raise NotImplementedError
 
         try:
             assert "testfam_xyz" in available_families()

@@ -19,9 +19,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ExperimentSession
+from repro.api.measures import configure_for_workload, paper_context
+from repro.compression.registry import make_scheme
 from repro.experiments import adaptive, faults, table6, table8, validation
+from repro.simulator.cluster import multirack_cluster, paper_testbed
+from repro.training.workloads import bert_large_wikitext, vgg19_tinyimagenet
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+#: The benchmark's recorded outputs (read only; never rewritten by tests).
+E2E_REFERENCE = Path(__file__).resolve().parents[2] / "e2ebench" / "reference.json"
 
 #: Relative tolerance for golden comparisons.  The drivers are deterministic,
 #: but JSON serialisation round-trips through decimal text, so exact float
@@ -161,6 +169,37 @@ def table8_multirack_payload(rows) -> list[dict]:
     ]
 
 
+#: Error-feedback wrappers priced next to the registry specs.
+EF_SPECS = ("ef(topk(b=2))", "ef(thc(q=4, rot=partial, agg=sat))", "ef(powersgd(r=4))")
+
+
+def pricing_payload() -> dict:
+    """``estimate_bucket_costs`` of every registry and EF spec at paper sizes."""
+    clusters = {"paper_testbed": paper_testbed(), "multirack2": multirack_cluster(2)}
+    payload = {}
+    for workload in (bert_large_wikitext(), vgg19_tinyimagenet()):
+        for cluster_name, cluster in clusters.items():
+            ctx = paper_context(cluster)
+            rows = {}
+            for spec in (*validation.REGISTRY_SPECS, *EF_SPECS):
+                scheme = configure_for_workload(make_scheme(spec), workload)
+                rows[spec] = {
+                    str(num_buckets): [
+                        [
+                            cost.compression_seconds,
+                            cost.communication_seconds,
+                            cost.bits_per_coordinate,
+                        ]
+                        for cost in scheme.estimate_bucket_costs(
+                            workload.paper_num_coordinates, num_buckets, ctx
+                        )
+                    ]
+                    for num_buckets in (1, 4, 16)
+                }
+            payload[f"{workload.name}/{cluster_name}"] = rows
+    return payload
+
+
 # ------------------------------------------------------------------ #
 # Tests
 # ------------------------------------------------------------------ #
@@ -225,6 +264,28 @@ class TestValidationGolden:
         report = validation.run_validation(num_steps=2, seed=7)
         assert report.all_ok, report.render()
         check_golden("validation", report.to_payload(), update_goldens)
+
+
+class TestPricingGolden:
+    def test_bucket_pricing(self, update_goldens):
+        """Every scheme's priced bucket costs at the paper sizes, pinned: the
+        analytic pricing behind every throughput and TTA figure."""
+        check_golden("pricing", pricing_payload(), update_goldens)
+
+    def test_tta_reproduces_benchmark_reference(self):
+        """A short ``session.tta`` of the benchmark's four contenders on bert
+        prices exactly the rounds/s the benchmark's reference records (the
+        benchmark compares them with ``!=``, so the pricing sums must not even
+        change their rounding)."""
+        reference = json.loads(E2E_REFERENCE.read_text())["tta-paper"]
+        session = ExperimentSession(seed=0, executor="serial", record_timeline=False)
+        workload = bert_large_wikitext()
+        contenders = [label.split("/", 1)[1] for label in reference if label.startswith("bert/")]
+        assert len(contenders) == 4
+        for spec in contenders:
+            result = session.tta(spec, workload, num_rounds=2, eval_every=1)
+            expected = reference[f"bert/{spec}"]["rounds_per_second"]
+            assert result.rounds_per_second == expected, spec
 
 
 class TestGoldenHarness:
